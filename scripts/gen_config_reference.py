@@ -171,9 +171,8 @@ def render() -> str:
         "`python scripts/gen_config_reference.py` after changing them.",
         "Defaults are shown as written in the source (`8 * MIB`, not",
         "`8388608`); all times are nanoseconds, all sizes bytes.  What the",
-        "blocks *mean* is covered in [MODEL.md](MODEL.md); the execution",
-        "engine selected by `MachineConfig.engine` in",
-        "[ENGINES.md](ENGINES.md); fault profiles in [FAULTS.md](FAULTS.md).",
+        "blocks *mean* is covered in [MODEL.md](MODEL.md); fault profiles",
+        "in [FAULTS.md](FAULTS.md).",
         "",
         "Blocks that equal their disabled default are omitted from",
         "`MachineConfig.to_dict()` so sweep-cache keys stay stable; see the",

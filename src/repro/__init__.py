@@ -22,7 +22,6 @@ Quickstart::
 
 from repro.adaptive import AdaptiveController, AdaptivePolicy
 from repro.common import (
-    ENGINE_NAMES,
     AdaptiveConfig,
     CacheConfig,
     ConfigError,
@@ -45,11 +44,9 @@ from repro.common import (
     TraceError,
     with_adaptive,
     with_cores,
-    with_engine,
     with_serving,
     with_tiers,
 )
-from repro.engine import Engine, FastSimulation, build_simulation
 from repro.faults import (
     FAULT_PROFILES,
     FaultInjector,
@@ -82,6 +79,11 @@ from repro.tiering import TIER_PRESETS, TierSummary, TierUsage, with_tier_preset
 from repro.trace import WORKLOADS, build_workload, workload_names
 from repro.vm import VMA, AddressSpace
 
+build_simulation = Simulation
+"""Alias of :class:`Simulation`:
+``build_simulation(config, workloads, policy, **kwargs).run()``.
+In-tree code constructs :class:`Simulation` directly."""
+
 __version__ = "1.0.0"
 
 __all__ = [
@@ -106,12 +108,6 @@ __all__ = [
     "TierSpec",
     "TIER_PLACEMENTS",
     "with_tiers",
-    "ENGINE_NAMES",
-    "with_engine",
-    # execution engines
-    "Engine",
-    "FastSimulation",
-    "build_simulation",
     # faults
     "FAULT_PROFILES",
     "FaultInjector",
@@ -134,6 +130,7 @@ __all__ = [
     # simulation
     "Machine",
     "Simulation",
+    "build_simulation",
     "EventLog",
     "SimEvent",
     "SimulationResult",

@@ -27,10 +27,9 @@ from repro.common.config import MachineConfig
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRNG
 from repro.core import ITSPolicy
-from repro.engine import build_simulation
 from repro.sim.batch import batch_names, build_batch
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulator import WorkloadInstance
+from repro.sim.simulator import Simulation, WorkloadInstance
 from repro.trace.workloads import build_workload
 
 POLICY_FACTORIES: dict[str, Callable[[], IOPolicy]] = {
@@ -90,7 +89,7 @@ def run_batch_policy(
         workloads, requests = build_request_load(
             config, batch_name, seed=seed, scale=scale
         )
-        return build_simulation(
+        return Simulation(
             config,
             workloads,
             factory(),
@@ -100,7 +99,7 @@ def run_batch_policy(
             requests=requests,
         ).run()
     workloads = build_batch(batch_name, seed=seed, scale=scale, config=config)
-    return build_simulation(
+    return Simulation(
         config,
         workloads,
         factory(),
@@ -619,7 +618,7 @@ def run_observation(
             )
             for i in range(count)
         ]
-        result = build_simulation(
+        result = Simulation(
             config, workloads, SyncIOPolicy(), batch_name=f"observation_{count}"
         ).run()
         idle_ns.append(float(result.total_idle_ns))

@@ -13,10 +13,9 @@ dominate real usage:
   the retry/fallback machinery and tail sampling.
 * ``adaptive`` — the adaptive controller: per-fault estimation and
   mode dispatch.
-* ``hot_loop`` / ``hot_loop_fast`` — the vectorized engine
-  (docs/ENGINES.md) against its reference pair on the fault-light shape
-  it accelerates; ``hot_loop_fast`` carries ``speedup_vs_reference``,
-  so the engine's win is a tracked number rather than a claim.
+* ``hot_loop`` — Sync on a fault-light shape (DRAM sized to the
+  footprint), where the windowed commit path rather than the fault
+  machinery dominates.
 
 Each case is timed ``repeats`` times and the *minimum* wall time is
 kept (minimum, not mean: the lower envelope is the least noisy
@@ -49,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from repro.common.config import MachineConfig, with_engine
+from repro.common.config import MachineConfig
 from repro.common.errors import ReproError
 from repro.faults.profiles import with_fault_profile
 
@@ -67,13 +66,10 @@ HARD_THRESHOLD = 2.0
 class BenchCase:
     """One pinned benchmark configuration.
 
-    ``engine`` selects the execution engine (docs/ENGINES.md);
-    ``speedup_vs`` names the reference-engine case this one is paired
-    with, so the report records ``speedup_vs_reference`` (the records/s
-    ratio) as a tracked number.  ``scale``, when set, pins the trace
-    scale regardless of the suite-wide ``--scale`` (the hot-loop pair
-    needs enough records for the ratio to be stable).  ``dram_frames``
-    overrides the DRAM pool so fault-light shapes can be pinned.
+    ``scale``, when set, pins the trace scale regardless of the
+    suite-wide ``--scale`` (the hot loop needs enough records for its
+    wall time to be stable).  ``dram_frames`` overrides the DRAM pool
+    so fault-light shapes can be pinned.
     """
 
     name: str
@@ -82,10 +78,8 @@ class BenchCase:
     seed: int = 3
     cores: Optional[int] = None
     fault_profile: Optional[str] = None
-    engine: str = "reference"
     dram_frames: Optional[int] = None
     scale: Optional[float] = None
-    speedup_vs: Optional[str] = None
 
     def config(self) -> MachineConfig:
         """The machine configuration this case pins."""
@@ -101,8 +95,6 @@ class BenchCase:
                     config.memory, dram_frames=self.dram_frames
                 ),
             )
-        if self.engine != "reference":
-            config = with_engine(config, self.engine)
         return config
 
 
@@ -111,27 +103,12 @@ BENCH_CASES: tuple[BenchCase, ...] = (
     BenchCase("smp_4core", "ITS", cores=4),
     BenchCase("tail_bimodal", "ITS", fault_profile="tail_bimodal"),
     BenchCase("adaptive", "Adaptive"),
-    # The fast-engine pair: identical shape, only the engine differs,
-    # so speedup_vs_reference isolates the engine's contribution.  The
-    # shape is the fault-light hot loop (DRAM sized to the footprint),
-    # where the step loop rather than the fault machinery dominates —
-    # exactly what the fast engine exists for; fault-dominated shapes
-    # run it at parity (docs/ENGINES.md).
     BenchCase(
         "hot_loop",
         "Sync",
         batch="No_Data_Intensive",
         dram_frames=8192,
         scale=3.0,
-    ),
-    BenchCase(
-        "hot_loop_fast",
-        "Sync",
-        batch="No_Data_Intensive",
-        dram_frames=8192,
-        scale=3.0,
-        engine="fast",
-        speedup_vs="hot_loop",
     ),
 )
 
@@ -144,113 +121,60 @@ def _peak_rss_bytes() -> int:
     return peak * 1024
 
 
-class _TimedCase:
-    """One case's untimed inputs plus its best-of-N timing state.
+def run_case(
+    case: BenchCase, *, repeats: int = 3, scale: float = 0.1
+) -> dict:
+    """Time one case and return its record (best-of-*repeats*).
 
     The timed region is the simulator — construction plus the full run.
     Workload synthesis happens once, outside the timer: traces are an
     *input* to the simulator, their generation cost is identical for
-    every engine and policy, and folding it in would dilute exactly the
-    ratios this harness exists to track.
+    every policy, and folding it in would dilute exactly the costs this
+    harness exists to track.
     """
+    from repro.analysis.experiments import POLICY_FACTORIES
+    from repro.common.config import with_cores
+    from repro.sim.batch import build_batch
+    from repro.sim.simulator import Simulation
 
-    def __init__(self, case: BenchCase, scale: float) -> None:
-        from repro.analysis.experiments import POLICY_FACTORIES
-        from repro.common.config import with_cores
-        from repro.sim.batch import build_batch
-
-        config = case.config()
-        if case.cores is not None:
-            config = with_cores(config, case.cores)
-        if case.scale is not None:
-            scale = case.scale
-        factory = POLICY_FACTORIES.get(case.policy)
-        if factory is None:
-            raise ReproError(
-                f"unknown bench policy {case.policy!r}; "
-                f"known: {', '.join(POLICY_FACTORIES)}"
-            )
-        self.case = case
-        self.scale = scale
-        self.config = config
-        self.factory = factory
-        self.workloads = build_batch(
-            case.batch, seed=case.seed, scale=scale, config=config
+    config = case.config()
+    if case.cores is not None:
+        config = with_cores(config, case.cores)
+    if case.scale is not None:
+        scale = case.scale
+    factory = POLICY_FACTORIES.get(case.policy)
+    if factory is None:
+        raise ReproError(
+            f"unknown bench policy {case.policy!r}; "
+            f"known: {', '.join(POLICY_FACTORIES)}"
         )
-        self.best_s: Optional[float] = None
-        self.instructions = 0
-        self.makespan_ns = 0
-
-    def time_once(self) -> None:
-        """Run the simulator once and fold the wall time into the best."""
-        from repro.engine import build_simulation
-
+    workloads = build_batch(case.batch, seed=case.seed, scale=scale, config=config)
+    best_s = float("inf")
+    for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        result = build_simulation(
-            self.config,
-            self.workloads,
-            self.factory(),
-            batch_name=self.case.batch,
+        result = Simulation(
+            config, workloads, factory(), batch_name=case.batch
         ).run()
-        elapsed = time.perf_counter() - start
-        if self.best_s is None or elapsed < self.best_s:
-            self.best_s = elapsed
-        self.instructions = result.instructions_committed
-        self.makespan_ns = result.makespan_ns
-
-    def record(self) -> dict:
-        best_s = self.best_s
-        assert best_s is not None
-        case = self.case
-        return {
-            "name": case.name,
-            "policy": case.policy,
-            "batch": case.batch,
-            "seed": case.seed,
-            "scale": self.scale,
-            "cores": case.cores,
-            "fault_profile": case.fault_profile,
-            "engine": case.engine,
-            "dram_frames": case.dram_frames,
-            "wall_s": round(best_s, 6),
-            "instructions_committed": self.instructions,
-            "records_per_s": round(self.instructions / best_s)
-            if best_s > 0
-            else 0,
-            "makespan_ns": self.makespan_ns,
-            "sim_ns_per_wall_s": round(self.makespan_ns / best_s)
-            if best_s > 0
-            else 0,
-        }
-
-
-def run_case(
-    case: BenchCase, *, repeats: int = 3, scale: float = 0.1
-) -> dict:
-    """Time one case and return its record (best-of-*repeats*)."""
-    timed = _TimedCase(case, scale)
-    for _ in range(max(1, repeats)):
-        timed.time_once()
-    return timed.record()
-
-
-def _run_pair(
-    reference: BenchCase, fast: BenchCase, *, repeats: int, scale: float
-) -> list[dict]:
-    """Time a speedup pair with *interleaved* repeats.
-
-    Host load drifts on second timescales; timing all of one case's
-    repeats before the other's lets a busy window inflate one side of
-    the ratio and not the other.  Alternating the two cases' repeats
-    makes both sample the same windows, so the best-of walls — and the
-    recorded ``speedup_vs_reference`` — come from comparable conditions.
-    """
-    ref_timed = _TimedCase(reference, scale)
-    fast_timed = _TimedCase(fast, scale)
-    for _ in range(max(1, repeats)):
-        ref_timed.time_once()
-        fast_timed.time_once()
-    return [ref_timed.record(), fast_timed.record()]
+        best_s = min(best_s, time.perf_counter() - start)
+    return {
+        "name": case.name,
+        "policy": case.policy,
+        "batch": case.batch,
+        "seed": case.seed,
+        "scale": scale,
+        "cores": case.cores,
+        "fault_profile": case.fault_profile,
+        "dram_frames": case.dram_frames,
+        "wall_s": round(best_s, 6),
+        "instructions_committed": result.instructions_committed,
+        "records_per_s": round(result.instructions_committed / best_s)
+        if best_s > 0
+        else 0,
+        "makespan_ns": result.makespan_ns,
+        "sim_ns_per_wall_s": round(result.makespan_ns / best_s)
+        if best_s > 0
+        else 0,
+    }
 
 
 def run_bench(
@@ -263,45 +187,11 @@ def run_bench(
     """Run the full suite and return the report dict."""
     if cases is None:
         cases = BENCH_CASES  # resolved at call time (tests patch it)
-    case_by_name = {c.name: c for c in cases}
-    # Speedup pairs are timed together with interleaved repeats (see
-    # _run_pair); the fast side is pulled forward to run alongside its
-    # reference, keeping the record order of the case tuple.
-    fast_for = {
-        c.speedup_vs: c
-        for c in cases
-        if c.speedup_vs is not None and c.speedup_vs in case_by_name
-    }
     records = []
-    done = set()
     for case in cases:
-        if case.name in done:
-            continue
-        fast = fast_for.get(case.name)
-        if fast is not None:
-            if progress is not None:
-                progress(
-                    f"bench {case.name} + {fast.name}: {case.policy} "
-                    f"x{repeats} interleaved ..."
-                )
-            records.extend(_run_pair(case, fast, repeats=repeats, scale=scale))
-            done.add(fast.name)
-        else:
-            if progress is not None:
-                progress(f"bench {case.name}: {case.policy} x{repeats} ...")
-            records.append(run_case(case, repeats=repeats, scale=scale))
-        done.add(case.name)
-    by_name = {r["name"]: r for r in records}
-    for case in cases:
-        if case.speedup_vs is None:
-            continue
-        record = by_name.get(case.name)
-        reference = by_name.get(case.speedup_vs)
-        if record and reference and reference["records_per_s"]:
-            record["speedup_vs"] = case.speedup_vs
-            record["speedup_vs_reference"] = round(
-                record["records_per_s"] / reference["records_per_s"], 2
-            )
+        if progress is not None:
+            progress(f"bench {case.name}: {case.policy} x{repeats} ...")
+        records.append(run_case(case, repeats=repeats, scale=scale))
     return {
         "schema": 1,
         "repeats": repeats,
@@ -465,9 +355,6 @@ def render_bench_report(report: dict, comparison: Optional[BenchComparison]) -> 
             note = f"NEW: {verdict.detail}"
         else:
             note = f"{verdict.status.upper()} ({verdict.ratio:.2f}x): {verdict.detail}"
-        speedup = record.get("speedup_vs_reference")
-        if speedup is not None:
-            note += f"  [{speedup:.2f}x vs {record['speedup_vs']}]"
         lines.append(
             f"{record['name']:<16} {record['wall_s']:>9.3f} "
             f"{record['records_per_s']:>12,} "

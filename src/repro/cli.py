@@ -66,11 +66,9 @@ from repro.analysis.tables import render_result_summary, render_series_table
 from repro.common.config import (
     ADMISSION_POLICIES,
     ARRIVAL_PROCESSES,
-    ENGINE_NAMES,
     TIER_PLACEMENTS,
     MachineConfig,
     with_cores,
-    with_engine,
     with_serving,
 )
 from repro.common.errors import ConfigError, ReproError
@@ -99,9 +97,6 @@ def _machine_config(
     cores = getattr(args, "cores", None)
     if cores is not None:
         config = with_cores(config, cores)
-    engine = getattr(args, "engine", None)
-    if engine is not None and engine != "reference":
-        config = with_engine(config, engine)
     if apply_tiers:
         tiers = getattr(args, "tiers", None)
         placement = getattr(args, "placement", None)
@@ -245,13 +240,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="simulate an SMP machine with this many cores (see docs/SMP.md)",
     )
     parser.add_argument(
-        "--engine",
-        choices=list(ENGINE_NAMES),
-        default=None,
-        help="execution engine: the reference step loop (default) or the "
-        "bit-identical vectorized fast path (see docs/ENGINES.md)",
-    )
-    parser.add_argument(
         "--tiers",
         type=_tier_list,
         default=None,
@@ -363,7 +351,7 @@ def _serving_overrides(args: argparse.Namespace, *, rate: float) -> dict:
 
 
 def _add_exec(parser: argparse.ArgumentParser) -> None:
-    """Execution-engine flags shared by the grid-shaped commands."""
+    """Sweep-execution flags shared by the grid-shaped commands."""
     parser.add_argument(
         "--workers",
         type=_positive_int,

@@ -626,25 +626,6 @@ def with_serving(config: "MachineConfig", **overrides: Any) -> "MachineConfig":
     return dataclasses.replace(config, serving=ServingConfig(**overrides))
 
 
-ENGINE_NAMES = ("reference", "fast")
-"""Execution engines understood by :mod:`repro.engine`: ``reference``
-is the per-record step loop, ``fast`` the vectorized batch engine that
-falls back to the reference loop inside fault windows (docs/ENGINES.md).
-Both produce bit-identical results; the choice only affects wall-clock
-speed."""
-
-
-def with_engine(config: "MachineConfig", engine: str) -> "MachineConfig":
-    """Return *config* running on the named execution engine.
-
-    ``with_engine(config, "reference")`` restores the default (which
-    serialises to nothing, preserving existing sweep-cache keys — the
-    two engines are bit-identical, so a result computed by either
-    answers for both).
-    """
-    return dataclasses.replace(config, engine=engine)
-
-
 _PLACEMENTS = ("round_robin", "least_loaded")
 """Placement policies understood by the SMP scheduler: ``round_robin``
 spreads admitted processes across cores by pid, ``least_loaded`` puts
@@ -907,13 +888,6 @@ class MachineConfig:
     fault_handler_ns: int = 500
     """Software cost of entering/servicing the page-fault handler."""
 
-    engine: str = "reference"
-    """Execution engine (docs/ENGINES.md): ``reference`` is the exact
-    per-record step loop, ``fast`` the vectorized batch engine (bit-
-    identical results, much faster between faults).  Serialised only
-    when non-default: the engines produce identical results, so the
-    default must not move sweep-cache keys."""
-
     def __post_init__(self) -> None:
         _require(
             self.memory.page_size % self.llc.line_size == 0,
@@ -930,10 +904,6 @@ class MachineConfig:
             )
         _require(self.compute_ns_per_instr >= 0, "compute cost must be non-negative")
         _require(self.fault_handler_ns >= 0, "fault handler cost must be non-negative")
-        _require(
-            self.engine in ENGINE_NAMES,
-            f"unknown engine {self.engine!r}; known: {', '.join(ENGINE_NAMES)}",
-        )
 
     @classmethod
     def paper(cls) -> "MachineConfig":
@@ -973,10 +943,6 @@ class MachineConfig:
             del data["serving"]
         if self.tiers == TierConfig():
             del data["tiers"]
-        if self.engine == "reference":
-            # The engines are bit-identical, so the default engine must
-            # keep addressing results computed before it had a name.
-            del data["engine"]
         return data
 
     @classmethod
@@ -999,7 +965,6 @@ class MachineConfig:
                 tiers=TierConfig.from_dict(data.get("tiers")),
                 compute_ns_per_instr=data["compute_ns_per_instr"],
                 fault_handler_ns=data["fault_handler_ns"],
-                engine=data.get("engine", "reference"),
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed MachineConfig dict: {exc}") from exc

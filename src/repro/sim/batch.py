@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from repro.common.config import MachineConfig
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRNG
-from repro.sim.simulator import WorkloadInstance
+from repro.sim.simulator import Simulation, WorkloadInstance
 from repro.trace.workloads import WORKLOADS, build_workload
 
 
@@ -110,7 +110,6 @@ def run_batch_instrumented(
     """
     import dataclasses
 
-    from repro.engine import build_simulation
     from repro.telemetry import Telemetry
 
     config = config or MachineConfig()
@@ -121,7 +120,7 @@ def run_batch_instrumented(
     if telemetry is None:
         telemetry = Telemetry()
     workloads = build_batch(name, seed=seed, scale=scale, config=config)
-    result = build_simulation(
+    result = Simulation(
         config, workloads, policy, batch_name=name, telemetry=telemetry
     ).run()
     return result, telemetry

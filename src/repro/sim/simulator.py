@@ -5,16 +5,29 @@ One CPU executes the admitted processes under SCHED_RR; the installed
 major page fault.  Device-side progress (demand swap-ins, prefetches,
 asynchronous completions) fires from the event queue as the clock
 advances, so CPU and DMA overlap exactly as the paper's design intends.
+
+The paper's premise — only the window around a page fault needs exact,
+cycle-level treatment — applies to the simulator itself.  A single-core
+run commits fault-free stretches of a trace in *windows*
+(:meth:`Simulation._run_window`) and hands every fault-adjacent decision
+to the same code the per-record step (:meth:`Simulation._step_current`)
+uses; both leave the same result and machine state (docs/MODEL.md, "How
+a run commits records").
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.baselines.base import IOPolicy
+from repro.baselines.sync_runahead import SyncRunaheadPolicy
 from repro.common.config import MachineConfig
 from repro.common.errors import SimulationError
-from repro.cpu.core import StepOutcome
+from repro.cpu.core import StepOutcome, StepResult
+from repro.cpu.isa import Branch, Compute, Instruction, Load, Store
 from repro.kernel.process import Process
 from repro.kernel.scheduler import RoundRobinScheduler
 from repro.kernel.smp import SMPScheduler
@@ -30,7 +43,12 @@ from repro.sim.machine import Machine, SMPMachine
 from repro.sim.metrics import MetricsCollector, ProcessRecord, SimulationResult
 from repro.storage.dma import DMARequest
 from repro.trace.record import footprint_vpns
-from repro.cpu.isa import Instruction
+from repro.vm.mm import FaultKind
+from repro.vm.replacement import (
+    GlobalLRUPolicy,
+    PriorityAwareLRUPolicy,
+    ResidentPage,
+)
 
 if TYPE_CHECKING:
     from repro.telemetry import Telemetry
@@ -69,6 +87,72 @@ def _rescale_vpns(vpns_4k: frozenset[int], page_size: int) -> set[int]:
     }
 
 
+_COMPUTE = 0
+_LOAD = 1
+_STORE = 2
+_UNKNOWN = 3
+
+_ISA_TYPES = (Compute, Branch, Store, Load)
+"""Record types in the core's dispatch order (Store before Load, as the
+core decides ``is_write`` by ``isinstance(instr, Store)``)."""
+
+
+@dataclass(frozen=True)
+class TraceColumns:
+    """Columnar view of one trace, in flat machine-int arrays.
+
+    ``kind`` holds one ``_COMPUTE``/``_LOAD``/``_STORE``/``_UNKNOWN``
+    byte per record (branches are compute).  ``cum`` has
+    ``len(trace) + 1`` entries: ``cum[j] - cum[i]`` is the compute cost
+    of records ``[i, j)`` (memory ops contribute zero), so a compute run
+    fast-forwards the clock by one subtraction.  ``next_mem[i]`` is the
+    first index ``>= i`` holding a non-compute record, or ``len(trace)``.
+    """
+
+    kind: bytearray
+    cum: array
+    vpn: array
+    off: array
+    next_mem: array
+
+
+def build_columns(trace, page_shift: int, page_mask: int, compute_ns: int) -> TraceColumns:
+    """Preprocess *trace* into :class:`TraceColumns` in one pass."""
+    kind = bytearray()
+    cum = array("q", [0])
+    vpn = array("q")
+    off = array("q")
+    next_mem = array("q")
+    total = 0
+    for i, instr in enumerate(trace):
+        t = instr.__class__
+        if t not in _ISA_TYPES:
+            # A subclass dispatches like its base; anything else raises
+            # the core's TypeError if execution reaches it.
+            t = next((base for base in _ISA_TYPES if isinstance(instr, base)), None)
+        vaddr = 0
+        if t is Compute:
+            total += instr.cycles * compute_ns
+            kind.append(_COMPUTE)
+        elif t is Branch:
+            total += compute_ns
+            kind.append(_COMPUTE)
+        else:
+            # A non-compute record closes the compute run before it.
+            next_mem.extend([i] * (i + 1 - len(next_mem)))
+            if t is Load or t is Store:
+                kind.append(_LOAD if t is Load else _STORE)
+                vaddr = instr.vaddr
+            else:
+                kind.append(_UNKNOWN)
+        cum.append(total)
+        vpn.append(vaddr >> page_shift)
+        off.append(vaddr & page_mask)
+    n = len(kind)
+    next_mem.extend([n] * (n + 1 - len(next_mem)))
+    return TraceColumns(kind=kind, cum=cum, vpn=vpn, off=off, next_mem=next_mem)
+
+
 class Simulation:
     """A single run: one machine, one process batch, one I/O policy."""
 
@@ -85,8 +169,6 @@ class Simulation:
         batch_name: str = "custom",
         event_log=None,
         telemetry: Optional["Telemetry"] = None,
-        progress=None,
-        progress_interval: int = 50_000,
         requests: Optional[Sequence[Request]] = None,
     ) -> None:
         if not workloads:
@@ -95,8 +177,6 @@ class Simulation:
             raise SimulationError(
                 "open-loop runs need exactly one request per workload"
             )
-        if progress_interval <= 0:
-            raise SimulationError("progress interval must be positive")
         self.config = config
         self.policy = policy
         self.batch_name = batch_name
@@ -106,8 +186,6 @@ class Simulation:
             # directly attached log still wins for backward compatibility.
             event_log = telemetry.event_log
         self.event_log = event_log
-        self.progress = progress
-        self.progress_interval = progress_interval
 
         self.processes: list[Process] = [
             Process(
@@ -190,6 +268,31 @@ class Simulation:
         self.metrics = MetricsCollector()
         self._last_pid: Optional[int] = None
         self._prefetch_inflight: set[tuple[int, int]] = set()
+
+        # Window state, filled lazily by run(): trace columns keyed by
+        # id(trace), and (pid, vpn) -> (PageTableEntry, ResidentPage) so
+        # one lookup serves the walk and the replacement touch on a hit.
+        self._columns: dict[int, TraceColumns] = {}
+        self._page_cache: dict = {}
+        hook = type(policy).on_instruction_complete
+        # The runahead hook is a no-op unless the record stalled, so a
+        # window calls it on stalls only.
+        self._hook = (
+            None if hook is IOPolicy.on_instruction_complete
+            else policy.on_instruction_complete
+        )
+        # Shapes that commit one record per step: SMP cores interleave
+        # per record; an observer sees every record's events; any other
+        # instruction hook could observe every record.
+        self._per_record = (
+            self._smp
+            or telemetry is not None
+            or event_log is not None
+            or hook not in (
+                IOPolicy.on_instruction_complete,
+                SyncRunaheadPolicy.on_instruction_complete,
+            )
+        )
         policy.attach(self)
 
     # -- driving the run ----------------------------------------------------
@@ -197,29 +300,37 @@ class Simulation:
     def run(self) -> SimulationResult:
         """Execute until every process finishes; returns the result.
 
-        If a ``progress`` callback was supplied, it fires every
-        ``progress_interval`` loop steps with
-        ``(now_ns, instructions_committed, processes_finished)`` — useful
-        feedback on paper-scale runs.
+        A single-core run commits records in windows
+        (:meth:`_run_window`) unless its shape needs one record per step
+        (``_per_record``: SMP, an attached telemetry handle or event log,
+        an unknown instruction hook).
         """
         if self._smp:
             return self._run_smp()
+        return self._run_single(
+            self._step_current if self._per_record else self._run_window
+        )
+
+    def _run_per_record(self) -> SimulationResult:
+        """:meth:`run` committing every record through
+        :meth:`_step_current`: the oracle windowed runs are tested
+        against."""
+        if self._smp:
+            return self._run_smp()
+        return self._run_single(self._step_current)
+
+    def _run_single(self, commit) -> SimulationResult:
+        """The single-core driving loop: dispatch (or idle to the next
+        event), then let *commit* run the current process."""
         steps = 0
         while self.scheduler.has_work() or self._arrivals_outstanding > 0:
             steps += 1
             if steps > self.MAX_STEPS:
                 raise SimulationError("simulation exceeded MAX_STEPS; diverged?")
-            if self.progress is not None and steps % self.progress_interval == 0:
-                finished = sum(1 for p in self.processes if p.finished)
-                self.progress(
-                    self.machine.now_ns,
-                    self.machine.total_instructions_committed(),
-                    finished,
-                )
             if self.scheduler.current is None:
                 if not self._dispatch_or_idle():
                     continue
-            self._step_current()
+            commit()
         return self._build_result()
 
     def _run_smp(self) -> SimulationResult:
@@ -245,13 +356,6 @@ class Simulation:
             steps += 1
             if steps > self.MAX_STEPS:
                 raise SimulationError("simulation exceeded MAX_STEPS; diverged?")
-            if self.progress is not None and steps % self.progress_interval == 0:
-                finished = sum(1 for p in self.processes if p.finished)
-                self.progress(
-                    max(core.now_ns for core in cores),
-                    machine.total_instructions_committed(),
-                    finished,
-                )
 
             runnable = [i for i in indices if scheduler.core_runnable(i)]
             if not runnable:
@@ -359,6 +463,7 @@ class Simulation:
             self.telemetry.histogram("cpu.idle_gap_ns").observe(gap)
 
     def _step_current(self) -> None:
+        """Commit one record of the current process (the per-record path)."""
         process = self.scheduler.current
         if process is None:  # the fault handler may have blocked it
             return
@@ -366,11 +471,7 @@ class Simulation:
         result = self.machine.cpu.execute(process.pid, instr)
 
         if result.outcome is StepOutcome.MAJOR_FAULT:
-            process.stats.major_faults += 1
-            self.log_event("major_fault", process.pid, result.fault_vpn)
-            self.policy.on_major_fault(self, process, result.fault_vpn)
-            if self.scheduler.current is process and process.slice_remaining_ns <= 0:
-                self.scheduler.preempt_current()
+            self._major_fault(process, result.fault_vpn)
             return
 
         self.consume_time(process, result.time_ns)
@@ -385,42 +486,404 @@ class Simulation:
         process.advance()
 
         if process.finished:
-            self.scheduler.finish_current(self.machine.now_ns)
-            self._release_process_memory(process.pid)
-            self.log_event("finish", process.pid)
-            if self._serving:
-                self._finish_request(process.pid)
+            self._finish_current(process)
         elif process.slice_remaining_ns <= 0:
             self.scheduler.preempt_current()
         elif self.scheduler.resume_preempts_current():
-            # A sacrificed process's I/O completed and it outranks the
-            # running process: RT semantics let it take the CPU back.
-            displaced = self.scheduler.preempt_for_resume()
-            switch_start = self.machine.now_ns
-            cost = self.machine.context_switch.perform(displaced.pid)
-            self.machine.advance_ctx(cost)
-            self.metrics.add_ctx_overhead(cost)
-            resumed = self.scheduler.current
-            self.charge_time(
-                resumed.pid if resumed is not None else None,
-                "ctx_switch", cost,
+            self._resume_preempt()
+
+    def _major_fault(self, process: Process, vpn: int) -> None:
+        """Hand a major fault to the policy; preempt the process if the
+        fault used up its slice and it still holds the CPU."""
+        process.stats.major_faults += 1
+        self.log_event("major_fault", process.pid, vpn)
+        self.policy.on_major_fault(self, process, vpn)
+        if self.scheduler.current is process and process.slice_remaining_ns <= 0:
+            self.scheduler.preempt_current()
+
+    def _finish_current(self, process: Process) -> None:
+        """Retire the current process after its last record."""
+        self.scheduler.finish_current(self.machine.now_ns)
+        self._release_process_memory(process.pid)
+        self.log_event("finish", process.pid)
+        if self._serving:
+            self._finish_request(process.pid)
+
+    def _resume_preempt(self) -> None:
+        """A sacrificed process's I/O completed and it outranks the
+        running process: RT semantics let it take the CPU back."""
+        displaced = self.scheduler.preempt_for_resume()
+        switch_start = self.machine.now_ns
+        cost = self.machine.context_switch.perform(displaced.pid)
+        self.machine.advance_ctx(cost)
+        self.metrics.add_ctx_overhead(cost)
+        resumed = self.scheduler.current
+        self.charge_time(
+            resumed.pid if resumed is not None else None,
+            "ctx_switch", cost,
+        )
+        if resumed is not None:
+            resumed.stats.context_switches += 1
+            self._last_pid = resumed.pid
+            if self._causal is not None:
+                unblock_id = self._causal.take_unblock(resumed.pid)
+                if unblock_id is not None:
+                    self._causal.add(
+                        "resume", self.machine.now_ns,
+                        pid=resumed.pid, parent=unblock_id,
+                    )
+        if self.telemetry is not None:
+            self.telemetry.record_span(
+                "sched.ctx_switch", switch_start, switch_start + cost,
+                track="cpu",
+                pid=resumed.pid if resumed is not None else None,
             )
-            if resumed is not None:
-                resumed.stats.context_switches += 1
-                self._last_pid = resumed.pid
-                if self._causal is not None:
-                    unblock_id = self._causal.take_unblock(resumed.pid)
-                    if unblock_id is not None:
-                        self._causal.add(
-                            "resume", self.machine.now_ns,
-                            pid=resumed.pid, parent=unblock_id,
-                        )
-            if self.telemetry is not None:
-                self.telemetry.record_span(
-                    "sched.ctx_switch", switch_start, switch_start + cost,
-                    track="cpu",
-                    pid=resumed.pid if resumed is not None else None,
+
+    def _columns_for(self, trace) -> TraceColumns:
+        columns = self._columns.get(id(trace))
+        if columns is None:
+            page_size = self.config.memory.page_size
+            columns = build_columns(
+                trace,
+                page_size.bit_length() - 1,
+                page_size - 1,
+                self.config.compute_ns_per_instr,
+            )
+            self._columns[id(trace)] = columns
+        return columns
+
+    def _run_window(self) -> None:
+        """Run the current process until it faults, finishes, is
+        preempted, or yields to a resuming sacrificer.
+
+        Compute runs fast-forward the clock by a prefix-sum difference,
+        cut by binary search at the record that exhausts the slice or
+        reaches the next device event.  Memory ops take an inlined TLB
+        probe and page-table-hit path that makes the core's mutations in
+        the core's order.  Anything fault-adjacent defers to
+        :meth:`MemoryManager.classify_touch`, and a MAJOR fault leaves
+        through :meth:`_major_fault`, as in :meth:`_step_current`.
+
+        Local mirrors of the hot state (clock, pc, slice, stat counters)
+        are flushed back at every externally observable point — event
+        firing, policy hooks, fault paths, window exit — so code outside
+        this method sees the state the per-record path would have left
+        at the same virtual instant.
+        """
+        process = self.scheduler.current
+        if process is None:  # the fault handler may have blocked it
+            return
+        pid = process.pid
+        trace = process.trace
+        columns = self._columns_for(trace)
+        kind = columns.kind
+        cum = columns.cum
+        vpns = columns.vpn
+        offs = columns.off
+        next_mem = columns.next_mem
+        n = len(trace)
+
+        machine = self.machine
+        scheduler = self.scheduler
+        events = machine.events
+        run_due = events.run_due
+        peek_time = events.peek_time
+        resume_preempts = scheduler.resume_preempts_current
+        memory = machine.memory
+        mm = memory.mm_of(pid)
+        pte_for = mm.pte_for
+        classify = memory.classify_touch
+        replacement = memory.replacement
+        on_touch = replacement.on_touch
+        # Both LRU-family policies implement on_touch as "move to MRU if
+        # tracked"; inline that as a single OrderedDict op.  Other (or
+        # subclassed) policies keep the virtual call.
+        lru_move = (
+            replacement._lru.move_to_end
+            if type(replacement) in (GlobalLRUPolicy, PriorityAwareLRUPolicy)
+            else None
+        )
+        frames_info_get = memory.frames._info.get
+        tlb = machine.tlb
+        entries = tlb._entries
+        entries_get = entries.get
+        move_to_end = entries.move_to_end
+        tlb_insert = tlb.insert
+        tlb_hit_ns = tlb.config.hit_latency_ns
+        tlb_miss_ns = tlb.config.miss_walk_latency_ns
+        hierarchy = machine.hierarchy
+        full_hierarchy = hierarchy.l1 is not None
+        hier_access = hierarchy.access
+        llc = hierarchy.llc
+        llc_access = llc.access
+        llc_sets = llc._sets
+        llc_line_bits = llc._line_bits
+        llc_set_mask = llc._set_mask
+        llc_tag_shift = llc_set_mask.bit_length()
+        llc_stats = llc.stats
+        llc_hit_ns = llc.config.hit_latency_ns
+        line_size = llc.config.line_size
+        dram_read = hierarchy.dram.read_latency_ns
+        dram_write = hierarchy.dram.write_latency_ns
+        page_size = memory.frames.page_size
+        fault_handler_ns = self.config.fault_handler_ns
+        cpu = machine.cpu
+        stats = process.stats
+        registers = process.registers
+        idle = self.metrics.idle
+        tlb_stats = tlb.stats
+        page_cache = self._page_cache
+        page_cache_get = page_cache.get
+        hook = self._hook
+
+        now = machine.now_ns
+        pc = process.pc
+        slice_left = process.slice_remaining_ns
+
+        # Same-page streak state: while consecutive memory ops touch one
+        # vpn and nothing external runs in between, the TLB entry, the
+        # replacement-LRU position, the PTE accessed bit and the frame's
+        # prefetched flag are all provably already in their post-touch
+        # state, so the repeat probe reduces to a hit count + latency.
+        # Reset (-1) at every external call: events, hooks, fault paths.
+        last_v = -1
+        last_pte = None
+        last_frame = 0
+
+        d_committed = 0
+        d_cpu = 0
+        d_stall = 0
+        d_minor = 0
+        d_hits = 0
+        d_misses = 0
+        d_llc_hits = 0
+
+        def flush() -> None:
+            nonlocal d_committed, d_cpu, d_stall, d_minor, d_hits, d_misses
+            nonlocal d_llc_hits
+            machine.now_ns = now
+            process.pc = pc
+            registers.pc = pc
+            process.slice_remaining_ns = slice_left
+            if d_committed:
+                cpu.instructions_committed += d_committed
+                d_committed = 0
+            if d_cpu:
+                stats.cpu_time_ns += d_cpu
+                d_cpu = 0
+            if d_stall:
+                stats.memory_stall_ns += d_stall
+                idle.memory_stall_ns += d_stall
+                d_stall = 0
+            if d_minor:
+                stats.minor_faults += d_minor
+                idle.handler_overhead_ns += d_minor * fault_handler_ns
+                d_minor = 0
+            if d_hits:
+                tlb_stats.hits += d_hits
+                d_hits = 0
+            if d_misses:
+                tlb_stats.misses += d_misses
+                d_misses = 0
+            if d_llc_hits:
+                llc_stats.demand_hits += d_llc_hits
+                d_llc_hits = 0
+
+        next_event = peek_time()
+        resume_pending = resume_preempts()
+
+        while True:
+            k = kind[pc]
+            if k == _COMPUTE:
+                # Fast-forward a fault-free compute/branch run [pc, stop).
+                base = cum[pc]
+                stop = next_mem[pc]
+                if cum[stop] - base >= slice_left:
+                    stop = bisect_left(cum, base + slice_left, pc + 1, stop)
+                if next_event is not None and cum[stop] - base >= next_event - now:
+                    stop = bisect_left(cum, base + (next_event - now), pc + 1, stop)
+                if resume_pending and stop > pc + 1:
+                    # A higher-priority resume is already pending: the
+                    # per-record path would yield after one record.
+                    stop = pc + 1
+                dt = cum[stop] - base
+                d_committed += stop - pc
+                d_cpu += dt
+                now += dt
+                slice_left -= dt
+                # The record "in flight" at the cut, for any event
+                # callback that observes process.pc (per-record timing:
+                # events fire before the pc advances).
+                pc = stop - 1
+                stall = 0
+                minor = False
+            elif k == _UNKNOWN:
+                flush()
+                raise TypeError(f"unknown instruction {trace[pc]!r}")
+            else:
+                v = vpns[pc]
+                if v == last_v:
+                    # Same-page streak: the previous op left (pid, v) at
+                    # TLB MRU and replacement MRU, accessed set and
+                    # prefetched cleared — the repeat probe is a pure
+                    # hit, every LRU move a no-op.
+                    d_hits += 1
+                    time_ns = tlb_hit_ns
+                    pte = last_pte
+                    frame2 = last_frame
+                    minor = False
+                else:
+                    key = (pid, v)
+                    frame = entries_get(key)
+                    tlb_hit = frame is not None
+                    if tlb_hit:
+                        move_to_end(key)
+                        d_hits += 1
+                        time_ns = tlb_hit_ns
+                    else:
+                        d_misses += 1
+                        time_ns = tlb_miss_ns
+                    ent = page_cache_get(key)
+                    if ent is not None:
+                        pte, rp = ent
+                    else:
+                        pte = pte_for(v)
+                        if pte is not None:
+                            rp = ResidentPage(pid, v)
+                            page_cache[key] = (pte, rp)
+                    if pte is not None and pte.present:
+                        # Inlined FaultKind.HIT classification: identical
+                        # mutations in identical order to classify_touch().
+                        pte.accessed = True
+                        if lru_move is not None:
+                            try:  # on_touch(): move to MRU if tracked
+                                lru_move(rp)
+                            except KeyError:
+                                pass
+                        else:
+                            on_touch(rp)
+                        info = frames_info_get(pte.frame)
+                        if info is not None:  # clear_prefetched()
+                            info.prefetched = False
+                        frame2 = pte.frame
+                        minor = False
+                    else:
+                        # Cold path (minor/major/unmapped): the classifier
+                        # takes every decision.
+                        flush()
+                        touch = classify(pid, v)
+                        if touch.kind is FaultKind.MAJOR:
+                            if tlb_hit:
+                                tlb.shootdown(pid, v)
+                            self._major_fault(process, v)
+                            return
+                        pte = touch.pte
+                        frame2 = touch.frame
+                        minor = touch.kind is FaultKind.MINOR
+                        if minor:
+                            time_ns += fault_handler_ns
+                        resume_pending = resume_preempts()
+                        last_v = -1
+                    if tlb_hit:
+                        if frame != frame2:
+                            entries[key] = frame2
+                    else:
+                        tlb_insert(pid, v, frame2)
+                    if not minor:
+                        last_v = v
+                        last_pte = pte
+                        last_frame = frame2
+                is_write = k == _STORE
+                if is_write:
+                    pte.dirty = True
+                paddr = frame2 * page_size + offs[pc]
+                if full_hierarchy:
+                    access = hier_access(
+                        paddr, is_write=is_write, owner=pid, preexec=False
+                    )
+                    lat = access.latency_ns
+                    stall = access.stall_ns
+                else:
+                    # Inlined SetAssociativeCache.access() hit path; a
+                    # miss defers to the real method (fill + eviction).
+                    # Read hits need one OrderedDict op (the LRU move);
+                    # only writes fetch the line, to set its dirty bit.
+                    line_key = paddr >> llc_line_bits
+                    cache_set = llc_sets[line_key & llc_set_mask]
+                    tag = line_key >> llc_tag_shift
+                    if is_write:
+                        cache_line = cache_set.get(tag)
+                        if cache_line is not None:
+                            cache_set.move_to_end(tag)
+                            cache_line.dirty = True
+                            d_llc_hits += 1
+                            lat = llc_hit_ns
+                            stall = 0
+                        else:
+                            llc_access(paddr, is_write=True, owner=pid, preexec=False)
+                            stall = dram_write(line_size)
+                            lat = llc_hit_ns + stall
+                    else:
+                        try:
+                            cache_set.move_to_end(tag)
+                            d_llc_hits += 1
+                            lat = llc_hit_ns
+                            stall = 0
+                        except KeyError:
+                            llc_access(paddr, is_write=False, owner=pid, preexec=False)
+                            stall = dram_read(line_size)
+                            lat = llc_hit_ns + stall
+                time_ns += lat
+                d_committed += 1
+                d_cpu += time_ns
+                now += time_ns
+                slice_left -= time_ns
+
+            if next_event is not None and now >= next_event:
+                flush()
+                run_due(now)
+                next_event = peek_time()
+                now = machine.now_ns
+                pc = process.pc
+                slice_left = process.slice_remaining_ns
+                resume_pending = resume_preempts()
+                last_v = -1
+            if stall:
+                d_stall += stall
+            if minor:
+                d_minor += 1
+            if hook is not None and stall > 0:
+                flush()
+                hook(
+                    self,
+                    process,
+                    trace[pc],
+                    StepResult(
+                        outcome=StepOutcome.COMPLETED,
+                        time_ns=time_ns,
+                        stall_ns=stall,
+                        minor_fault=minor,
+                    ),
                 )
+                next_event = peek_time()
+                now = machine.now_ns
+                slice_left = process.slice_remaining_ns
+                resume_pending = resume_preempts()
+                last_v = -1
+
+            pc += 1
+            if pc >= n:
+                flush()
+                self._finish_current(process)
+                return
+            if slice_left <= 0:
+                flush()
+                scheduler.preempt_current()
+                return
+            if resume_pending:
+                flush()
+                self._resume_preempt()
+                return
 
     # -- open-loop serving ---------------------------------------------------
 

@@ -48,7 +48,6 @@ class PageTableEntry:
 class PageTableStats:
     """Counters over page-table operations."""
 
-    walks: int = 0
     populated_tables: int = 0
 
 
@@ -95,7 +94,6 @@ class PageTable:
 
     def walk(self, vaddr: int) -> Optional[PageTableEntry]:
         """Full 4-level walk; ``None`` if any level is unpopulated."""
-        self.stats.walks += 1
         va = VirtualAddress(vaddr)
         pud = self.pgd_offset(va)
         if pud is None:

@@ -20,15 +20,13 @@ from repro.common.config import (
     MemoryConfig,
     SchedulerConfig,
     TLBConfig,
-    with_engine,
     with_serving,
 )
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRNG
 from repro.common.units import KIB, US
 from repro.cpu.isa import Load
-from repro.engine import FastSimulation, Simulation, build_simulation
-from repro.sim.simulator import WorkloadInstance
+from repro.sim.simulator import Simulation, WorkloadInstance
 from repro.tiering import with_tier_presets
 from repro.trace.workloads import build_workload
 
@@ -78,7 +76,7 @@ class TestRegimeBoundaryByTier:
 
     def test_adaptive_splits_modes_by_device(self):
         config = adaptive_tiered_config(placement="pid_hash")
-        sim = build_simulation(
+        sim = Simulation(
             config, balanced_roster(), AdaptivePolicy(), batch_name="tiered"
         )
         result = sim.run()
@@ -115,36 +113,29 @@ def tiny_workloads():
 
 
 class TestFastEngineFallback:
-    """Tiered configs must run on the reference loop — bit-identically."""
-
-    def test_tiers_force_reference(self):
-        config = with_engine(
-            with_tier_presets(tiny_config(), ["ull", "nvme"]), "fast"
-        )
-        sim = build_simulation(
-            config, tiny_workloads(), AdaptivePolicy(), batch_name="t"
-        )
-        assert isinstance(sim, FastSimulation)
-        assert sim._force_reference
+    """Tiered configs need no per-record fallback: they commit through
+    windows, bit-identically to the per-record reference path, because
+    a window issues no I/O of its own."""
 
     def test_forced_reference_is_bit_identical(self):
         tiered = with_tier_presets(tiny_config(), ["ull", "nvme"])
-        reference = Simulation(
-            tiered, tiny_workloads(), AdaptivePolicy(), batch_name="t"
+
+        def build():
+            return Simulation(
+                tiered, tiny_workloads(), AdaptivePolicy(), batch_name="t"
+            )
+
+        windowed = build()
+        assert not windowed._per_record
+        assert result_to_dict(windowed.run()) == result_to_dict(
+            build()._run_per_record()
         )
-        fast = FastSimulation(
-            with_engine(tiered, "fast"),
-            tiny_workloads(),
-            AdaptivePolicy(),
-            batch_name="t",
-        )
-        assert result_to_dict(fast.run()) == result_to_dict(reference.run())
 
 
 class TestResultPayload:
     def test_tiered_result_round_trips(self):
         config = with_tier_presets(tiny_config(), ["ull", "nvme"])
-        result = build_simulation(
+        result = Simulation(
             config, tiny_workloads(), AdaptivePolicy(), batch_name="t"
         ).run()
         payload = result_to_dict(result)
@@ -153,7 +144,7 @@ class TestResultPayload:
         assert result_from_dict(payload) == result
 
     def test_untier_result_omits_key(self):
-        result = build_simulation(
+        result = Simulation(
             tiny_config(), tiny_workloads(), AdaptivePolicy(), batch_name="t"
         ).run()
         assert result.tiers is None

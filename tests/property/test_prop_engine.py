@@ -1,11 +1,14 @@
-"""Property: the fast engine is bit-identical to the reference loop.
+"""Property: windowed runs are bit-identical to the per-record path.
 
 Random tiny workload sets, every registered policy, a sample of fault
-profiles: ``FastSimulation`` must produce the same serialised
-``SimulationResult`` as ``Simulation`` — not just the same headline
-numbers, the whole payload (per-process stats, idle breakdown, cache
-counters).  This is the engine's one contract (docs/ENGINES.md);
-everything else about it is an implementation detail.
+profiles, single-device and tiered storage: ``Simulation.run()``, which
+commits fault-free stretches in windows, must produce the same
+serialised ``SimulationResult`` as the per-record reference path
+(``Simulation._run_per_record``) — not just the same headline numbers,
+the whole payload (per-process stats, idle breakdown, cache counters,
+tier summary).  This is the windows' one contract (docs/MODEL.md, "How
+a run commits records"); everything else about them is an
+implementation detail.
 """
 
 from hypothesis import given, settings
@@ -19,16 +22,15 @@ from repro.common.config import (
     MemoryConfig,
     SchedulerConfig,
     TLBConfig,
-    with_engine,
 )
 from repro.common.units import KIB, US
 from repro.cpu.isa import Branch, Compute, Load, Store
-from repro.engine import build_simulation
 from repro.faults.profiles import with_fault_profile
-from repro.sim.simulator import WorkloadInstance
+from repro.sim.simulator import Simulation, WorkloadInstance
+from repro.tiering import with_tier_presets
 
 
-def tiny_config(profile):
+def tiny_config(profile, tiers):
     config = MachineConfig(
         llc=CacheConfig(size_bytes=8 * KIB, ways=2),
         tlb=TLBConfig(entries=4),
@@ -39,6 +41,12 @@ def tiny_config(profile):
     )
     if profile != "none":
         config = with_fault_profile(config, profile)
+    if tiers is not None:
+        names, placement, promote_threshold = tiers
+        config = with_tier_presets(
+            config, names, placement=placement,
+            promote_threshold=promote_threshold,
+        )
     return config
 
 
@@ -89,15 +97,36 @@ policy_names = st.sampled_from(list(POLICY_FACTORIES))
 profile_names = st.sampled_from(["none", "tail_bimodal", "flaky_dma"])
 
 
-@given(workload_sets(), policy_names, profile_names)
-@settings(max_examples=60, deadline=None)
-def test_fast_engine_bit_identical(workloads, policy_name, profile):
-    def run(engine):
-        return build_simulation(
-            with_engine(tiny_config(profile), engine),
+@st.composite
+def tier_setups(draw):
+    """Single-device storage (None), or two/three tiers under every
+    placement, with and without threshold migration."""
+    if draw(st.booleans()):
+        return None
+    names = draw(
+        st.sampled_from(
+            [("ull", "nvme"), ("ull", "far_memory"), ("nvme", "far_memory", "ull")]
+        )
+    )
+    placement = draw(st.sampled_from(["pid_hash", "round_robin", "hot_cold"]))
+    # hot_cold pages leave the cold tier only by promotion.
+    thresholds = [1, 2, 4] if placement == "hot_cold" else [0, 1, 2, 4]
+    return names, placement, draw(st.sampled_from(thresholds))
+
+
+@given(workload_sets(), policy_names, profile_names, tier_setups())
+@settings(max_examples=100, deadline=None)
+def test_fast_engine_bit_identical(workloads, policy_name, profile, tiers):
+    def build():
+        return Simulation(
+            tiny_config(profile, tiers),
             workloads,
             POLICY_FACTORIES[policy_name](),
             batch_name="prop",
-        ).run()
+        )
 
-    assert result_to_dict(run("fast")) == result_to_dict(run("reference"))
+    windowed = build()
+    assert not windowed._per_record
+    assert result_to_dict(windowed.run()) == result_to_dict(
+        build()._run_per_record()
+    )

@@ -1,35 +1,40 @@
-"""Unit tests for the vectorized fast-path engine (docs/ENGINES.md).
+"""Unit tests for the windowed commit path (docs/MODEL.md, "How a run
+commits records").
 
-The contract under test is bit-identity: for every shape the engine
-accelerates, ``FastSimulation`` must produce the same
+The contract under test is bit-identity: for every shape a single-core
+``Simulation.run()`` commits through windows, it must produce the same
 ``SimulationResult`` *and* leave the machine in the same state as the
-reference step loop.  The crafted traces here aim at the batch
-boundaries where the fast path hands control back to the reference
-code: faults on the first and last record of a window, back-to-back
-faults, zero-length fast-forwards at slice/event cuts.
+per-record reference path (``Simulation._run_per_record``).  The
+crafted traces here aim at the window boundaries where control passes
+to the per-record code: faults on the first and last record of a
+window, back-to-back faults, zero-length fast-forwards at slice/event
+cuts.
 """
 
 import pytest
 
 from repro.analysis.experiments import POLICY_FACTORIES
-from repro.analysis.runner import SweepCell, cache_key
 from repro.analysis.store import result_to_dict
 from repro.common.config import (
-    ENGINE_NAMES,
     CacheConfig,
     MachineConfig,
     MemoryConfig,
     SchedulerConfig,
     TLBConfig,
     with_cores,
-    with_engine,
 )
-from repro.common.errors import ConfigError
 from repro.common.units import KIB, US
 from repro.cpu.isa import Branch, Compute, Load, Store
-from repro.engine import Engine, FastSimulation, Simulation, build_simulation
-from repro.engine.fast import _COMPUTE, _LOAD, _STORE, build_columns
-from repro.sim.simulator import WorkloadInstance
+from repro.sim.eventlog import EventLog
+from repro.sim.simulator import (
+    _COMPUTE,
+    _LOAD,
+    _STORE,
+    Simulation,
+    WorkloadInstance,
+    build_columns,
+)
+from repro.telemetry import Telemetry
 
 PAGE = 4096
 
@@ -59,16 +64,16 @@ def store(page, offset=0):
 
 
 def run_both(traces, policy="Sync", config=None, priorities=None):
-    """Run the same workloads under both engines; return both sims.
+    """Build two identical simulations of the same workloads.
 
-    The caller asserts on the sims' results and machine state; the
-    deep-equality helper below does the common comparison.
+    The first is run per record, the second windowed; the deep-equality
+    helper below runs both and compares them.
     """
     if config is None:
         config = tiny_config()
     factory = POLICY_FACTORIES[policy]
 
-    def build(cfg):
+    def build():
         workloads = [
             WorkloadInstance(
                 name=f"w{i}",
@@ -77,27 +82,33 @@ def run_both(traces, policy="Sync", config=None, priorities=None):
             )
             for i, trace in enumerate(traces)
         ]
-        return build_simulation(cfg, workloads, factory(), batch_name="t")
+        return Simulation(config, workloads, factory(), batch_name="t")
 
-    reference = build(with_engine(config, "reference"))
-    fast = build(with_engine(config, "fast"))
-    assert isinstance(fast, FastSimulation)
-    return reference, fast
+    oracle, windowed = build(), build()
+    assert not windowed._per_record
+    return oracle, windowed
 
 
-def assert_bit_identical(reference, fast):
-    ref_result = reference.run()
-    fast_result = fast.run()
+def assert_bit_identical(oracle, windowed):
+    ref_result = oracle._run_per_record()
+    fast_result = windowed.run()
     assert result_to_dict(fast_result) == result_to_dict(ref_result)
     # Deep machine state, beyond the published result payload: TLB
-    # content *and* LRU order, TLB counters, LLC counters.
-    assert list(fast.machine.tlb._entries.items()) == list(
-        reference.machine.tlb._entries.items()
+    # content *and* LRU order, TLB counters, LLC counters, page tables.
+    assert list(windowed.machine.tlb._entries.items()) == list(
+        oracle.machine.tlb._entries.items()
     )
-    assert fast.machine.tlb.stats == reference.machine.tlb.stats
+    assert windowed.machine.tlb.stats == oracle.machine.tlb.stats
     assert (
-        fast.machine.hierarchy.llc.stats == reference.machine.hierarchy.llc.stats
+        windowed.machine.hierarchy.llc.stats
+        == oracle.machine.hierarchy.llc.stats
     )
+    for process in oracle.processes:
+        pid = process.pid
+        assert (
+            windowed.machine.memory.mm_of(pid).page_table.stats
+            == oracle.machine.memory.mm_of(pid).page_table.stats
+        )
     return ref_result
 
 
@@ -110,93 +121,20 @@ class TestBuildColumns:
         Compute(dst=0, cycles=2),
     ]
 
-    def check(self, columns):
-        assert columns.kind == [_COMPUTE, _LOAD, _COMPUTE, _STORE, _COMPUTE]
-        # compute_ns=10: costs are 30, 0, 10, 0, 20 -> prefix sums.
-        assert columns.cum == [0, 30, 30, 40, 40, 60]
-        assert columns.vpn[1] == 5 and columns.off[1] == 64
-        assert columns.vpn[3] == 9 and columns.off[3] == 128
-        # next_mem[i]: first non-compute index >= i, else len(trace).
-        assert columns.next_mem == [1, 1, 3, 3, 5, 5]
-
     def test_columns(self):
-        self.check(build_columns(self.TRACE, 12, PAGE - 1, 10))
-
-    def test_pure_python_fallback_matches_numpy(self, monkeypatch):
-        import repro.engine.fast as fast_mod
-
-        with_numpy = build_columns(self.TRACE, 12, PAGE - 1, 10)
-        monkeypatch.setattr(fast_mod, "_np", None)
-        without = fast_mod.build_columns(self.TRACE, 12, PAGE - 1, 10)
-        assert without == with_numpy
-        self.check(without)
-
-
-class TestEngineConfig:
-    def test_engine_names(self):
-        assert ENGINE_NAMES == ("reference", "fast")
-
-    def test_with_engine(self):
-        config = with_engine(MachineConfig(), "fast")
-        assert config.engine == "fast"
-        assert with_engine(config, "reference").engine == "reference"
-        assert MachineConfig().engine == "reference"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError, match="unknown engine"):
-            MachineConfig(engine="warp")
-
-    def test_default_engine_serialises_to_nothing(self):
-        # Sweep-cache keys are digests of to_dict(); the default engine
-        # must keep addressing results computed before it had a name.
-        assert "engine" not in MachineConfig().to_dict()
-        assert with_engine(MachineConfig(), "fast").to_dict()["engine"] == "fast"
-
-    def test_from_dict_round_trip(self):
-        fast = with_engine(MachineConfig(), "fast")
-        assert MachineConfig.from_dict(fast.to_dict()).engine == "fast"
-        assert MachineConfig.from_dict(MachineConfig().to_dict()).engine == (
-            "reference"
-        )
-
-    def test_cache_key_unchanged_by_default_engine(self):
-        def key(config):
-            return cache_key(
-                SweepCell(
-                    config=config,
-                    batch="1_Data_Intensive",
-                    policy="ITS",
-                    seed=1,
-                    scale=0.2,
-                )
-            )
-
-        assert key(MachineConfig()) == key(
-            with_engine(with_engine(MachineConfig(), "fast"), "reference")
-        )
-        assert key(with_engine(MachineConfig(), "fast")) != key(MachineConfig())
-
-
-class TestFactory:
-    def test_dispatch(self):
-        workloads = [WorkloadInstance(name="w", trace=[load(0)], priority=0)]
-        reference = build_simulation(
-            tiny_config(), workloads, POLICY_FACTORIES["Sync"](), batch_name="t"
-        )
-        assert type(reference) is Simulation
-        fast = build_simulation(
-            with_engine(tiny_config(), "fast"),
-            workloads,
-            POLICY_FACTORIES["Sync"](),
-            batch_name="t",
-        )
-        assert type(fast) is FastSimulation
-        assert isinstance(reference, Engine)
-        assert isinstance(fast, Engine)
+        columns = build_columns(self.TRACE, 12, PAGE - 1, 10)
+        assert list(columns.kind) == [_COMPUTE, _LOAD, _COMPUTE, _STORE, _COMPUTE]
+        # compute_ns=10: costs are 30, 0, 10, 0, 20 -> prefix sums.
+        assert list(columns.cum) == [0, 30, 30, 40, 40, 60]
+        assert list(columns.vpn) == [0, 5, 0, 9, 0]
+        assert list(columns.off) == [0, 64, 0, 128, 0]
+        # next_mem[i]: first non-compute index >= i, else len(trace).
+        assert list(columns.next_mem) == [1, 1, 3, 3, 5, 5]
 
 
 class TestForceReference:
-    """Shapes the fast engine does not accelerate must fall back wholesale."""
+    """Shapes that need one record per step must take the per-record
+    reference path for the whole run."""
 
     def workloads(self):
         return [
@@ -205,29 +143,24 @@ class TestForceReference:
             )
         ]
 
-    def build(self, **kwargs):
-        return FastSimulation(
-            with_engine(tiny_config(), "fast"),
+    def build(self, config=None, policy=None, **kwargs):
+        return Simulation(
+            config or tiny_config(),
             self.workloads(),
-            POLICY_FACTORIES["Sync"](),
+            policy or POLICY_FACTORIES["Sync"](),
             batch_name="t",
             **kwargs,
         )
 
     def test_single_core_defaults_use_fast_path(self):
-        assert not self.build()._force_reference
+        assert not self.build()._per_record
 
     def test_smp_forces_reference(self):
-        sim = FastSimulation(
-            with_cores(with_engine(tiny_config(), "fast"), 2),
-            self.workloads(),
-            POLICY_FACTORIES["Sync"](),
-            batch_name="t",
-        )
-        assert sim._force_reference
+        assert self.build(with_cores(tiny_config(), 2))._per_record
 
-    def test_progress_forces_reference(self):
-        assert self.build(progress=lambda *a: None)._force_reference
+    def test_observers_force_reference(self):
+        assert self.build(telemetry=Telemetry())._per_record
+        assert self.build(event_log=EventLog())._per_record
 
     def test_unknown_instruction_hook_forces_reference(self):
         from repro.baselines.sync_io import SyncIOPolicy
@@ -236,31 +169,24 @@ class TestForceReference:
             def on_instruction_complete(self, sim, process, instr, step):
                 pass
 
-        sim = FastSimulation(
-            with_engine(tiny_config(), "fast"),
-            self.workloads(),
-            Watcher(),
-            batch_name="t",
-        )
-        assert sim._force_reference
+        assert self.build(policy=Watcher())._per_record
 
     def test_forced_reference_still_bit_identical(self):
-        reference = Simulation(
-            tiny_config(), self.workloads(), POLICY_FACTORIES["Sync"](),
-            batch_name="t",
-        )
-        forced = self.build(progress=lambda *a: None)
-        assert result_to_dict(forced.run()) == result_to_dict(reference.run())
+        # An attached event log forces the per-record path; the result
+        # must match the windowed run of the same workloads.
+        observed = self.build(event_log=EventLog())
+        assert observed._per_record
+        assert result_to_dict(observed.run()) == result_to_dict(self.build().run())
 
 
 class TestBatchBoundaries:
-    """Crafted traces hitting the fast path's window-cut edges."""
+    """Crafted traces hitting the window-cut edges."""
 
     @pytest.mark.parametrize("policy", ["Sync", "ITS"])
     def test_fault_on_first_record(self, policy):
         # The very first record of the first window is a cold touch: the
-        # window must exit through the exact reference fault path before
-        # any batch state accumulates.
+        # window must exit through the exact per-record fault path
+        # before any batch state accumulates.
         traces = [[load(0)] + [Compute(dst=0, cycles=2)] * 8 + [load(1)]]
         assert_bit_identical(*run_both(traces, policy=policy))
 
@@ -275,7 +201,7 @@ class TestBatchBoundaries:
     def test_back_to_back_faults(self, policy):
         # Every record is a cold touch to a distinct page — more pages
         # than DRAM frames, so the run faults *and* evicts continuously
-        # and the engine never leaves the fault window.
+        # and no window commits more than one record.
         traces = [
             [load(p) for p in range(20)],
             [store(p) for p in range(20, 40)],
@@ -287,8 +213,8 @@ class TestBatchBoundaries:
 
     def test_zero_length_fast_forward_at_slice_cut(self):
         # A compute run long enough to exhaust the slice several times:
-        # the batch must cut exactly where the reference loop preempts,
-        # including the degenerate cut after zero records.
+        # the window must cut exactly where the per-record path
+        # preempts, including the degenerate cut after zero records.
         traces = [
             [load(0)] + [Compute(dst=0, cycles=1000)] * 400,
             [load(1)] + [Compute(dst=0, cycles=1000)] * 400,

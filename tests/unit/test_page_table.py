@@ -33,11 +33,6 @@ class TestWalk:
         pte = table.ensure_vpn(5)
         assert table.lookup_vpn(5) is pte
 
-    def test_walk_counts(self, table):
-        table.walk(0x1000)
-        table.walk(0x2000)
-        assert table.stats.walks == 2
-
     def test_populated_tables_counted(self, table):
         table.ensure_pte(0x1000)
         # First mapping populates PUD + PMD + PT under one PGD entry.

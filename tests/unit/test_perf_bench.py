@@ -45,31 +45,11 @@ class TestCases:
             "tail_bimodal",
             "adaptive",
             "hot_loop",
-            "hot_loop_fast",
         ]
         by_name = {c.name: c for c in BENCH_CASES}
         assert by_name["smp_4core"].cores == 4
         assert by_name["tail_bimodal"].fault_profile == "tail_bimodal"
         assert by_name["adaptive"].policy == "Adaptive"
-
-    def test_fast_cases_pair_with_reference(self):
-        by_name = {c.name: c for c in BENCH_CASES}
-        for fast_name in ("hot_loop_fast",):
-            fast = by_name[fast_name]
-            assert fast.engine == "fast"
-            reference = by_name[fast.speedup_vs]
-            assert reference.engine == "reference"
-            # Identical shape apart from the engine, so the speedup
-            # ratio isolates the engine's contribution.
-            assert (reference.policy, reference.batch, reference.seed) == (
-                fast.policy,
-                fast.batch,
-                fast.seed,
-            )
-            assert reference.dram_frames == fast.dram_frames
-            assert reference.scale == fast.scale
-        assert by_name["hot_loop_fast"].config().engine == "fast"
-        assert by_name["hot_loop"].config().engine == "reference"
         assert by_name["hot_loop"].config().memory.dram_frames == 8192
 
     def test_run_case_record(self):
@@ -157,20 +137,6 @@ class TestIO:
         assert {c["name"] for c in baseline["cases"]} == {
             c.name for c in BENCH_CASES
         }
-
-    def test_committed_baseline_records_fast_engine_speedup(self):
-        from pathlib import Path
-
-        from repro.analysis.perf import BASELINE_PATH
-
-        repo_root = Path(__file__).resolve().parents[2]
-        baseline = load_baseline(repo_root / BASELINE_PATH)
-        by_name = {c["name"]: c for c in baseline["cases"]}
-        hot = by_name["hot_loop_fast"]
-        assert hot["speedup_vs"] == "hot_loop"
-        # The acceptance bar for the vectorized engine on its hot-loop
-        # shape (docs/ENGINES.md): at least 5x reference records/s.
-        assert hot["speedup_vs_reference"] >= 5.0
 
 
 class TestRender:

@@ -155,39 +155,3 @@ class TestContextSwitchAccounting:
         ]
         result = Simulation(small_config, workloads, SyncIOPolicy()).run()
         assert result.context_switches == 0
-
-
-class TestProgressCallback:
-    def test_progress_fires_on_interval(self, small_config):
-        calls = []
-        workloads = [
-            WorkloadInstance(name="w0", trace=make_linear_trace(6), priority=10)
-        ]
-        Simulation(
-            small_config,
-            workloads,
-            SyncIOPolicy(),
-            progress=lambda t, committed, done: calls.append((t, committed, done)),
-            progress_interval=5,
-        ).run()
-        assert calls
-        times = [c[0] for c in calls]
-        assert times == sorted(times)
-        committed = [c[1] for c in calls]
-        assert committed == sorted(committed)
-
-    def test_no_progress_by_default(self, small_config):
-        workloads = [
-            WorkloadInstance(name="w0", trace=make_linear_trace(2), priority=10)
-        ]
-        result = Simulation(small_config, workloads, SyncIOPolicy()).run()
-        assert result.makespan_ns > 0
-
-    def test_bad_interval_rejected(self, small_config):
-        workloads = [
-            WorkloadInstance(name="w0", trace=make_linear_trace(2), priority=10)
-        ]
-        with pytest.raises(SimulationError):
-            Simulation(
-                small_config, workloads, SyncIOPolicy(), progress_interval=0
-            )
