@@ -52,7 +52,7 @@ DEFAULT_SEEDS = (1, 2, 3)
 """Priority-assignment seeds averaged by default."""
 
 
-def run_batch_policy(
+def build_batch_policy(
     config: MachineConfig,
     batch_name: str,
     policy_name: str,
@@ -62,13 +62,15 @@ def run_batch_policy(
     cores: Optional[int] = None,
     event_log=None,
     telemetry=None,
-) -> SimulationResult:
-    """Run one (batch, policy, seed) cell and return its raw result.
+) -> Simulation:
+    """Build (but do not run) one (batch, policy, seed) cell.
 
     Pass a :class:`~repro.telemetry.Telemetry` handle as *telemetry* to
     collect spans and metrics from the run (its embedded event log is
     used when *event_log* is not given).  ``cores`` overrides the
-    config's SMP core count.
+    config's SMP core count.  The returned
+    :class:`~repro.sim.simulator.Simulation` keeps its machine, so a
+    caller can read ``sim.machine.ledger`` after ``sim.run()``.
     """
     import dataclasses
 
@@ -81,6 +83,7 @@ def run_batch_policy(
         config = dataclasses.replace(
             config, cores=dataclasses.replace(config.cores, count=cores)
         )
+    requests = None
     if config.serving.enabled:
         # Open-loop serving cell: the batch is a workload *mix* that
         # requests draw from, not a fixed six-process roster.
@@ -89,16 +92,8 @@ def run_batch_policy(
         workloads, requests = build_request_load(
             config, batch_name, seed=seed, scale=scale
         )
-        return Simulation(
-            config,
-            workloads,
-            factory(),
-            batch_name=batch_name,
-            event_log=event_log,
-            telemetry=telemetry,
-            requests=requests,
-        ).run()
-    workloads = build_batch(batch_name, seed=seed, scale=scale, config=config)
+    else:
+        workloads = build_batch(batch_name, seed=seed, scale=scale, config=config)
     return Simulation(
         config,
         workloads,
@@ -106,7 +101,16 @@ def run_batch_policy(
         batch_name=batch_name,
         event_log=event_log,
         telemetry=telemetry,
-    ).run()
+        requests=requests,
+    )
+
+
+def run_batch_policy(
+    config: MachineConfig, batch_name: str, policy_name: str, **options
+) -> SimulationResult:
+    """Run one (batch, policy, seed) cell and return its raw result
+    (keyword options as for :func:`build_batch_policy`)."""
+    return build_batch_policy(config, batch_name, policy_name, **options).run()
 
 
 def _run_grid(

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 from repro.common.errors import SimulationError
 from repro.common.units import format_time_ns
+from repro.sim.metrics import IdleBreakdown
+from repro.telemetry.ledger import MIGRATION, TLB_SHOOTDOWN
 
 
 @dataclass(frozen=True)
@@ -30,21 +32,28 @@ class UtilizationReport:
 
 
 def utilization(sim) -> UtilizationReport:
-    """Compute the utilisation breakdown of a finished simulation."""
+    """Compute the utilisation breakdown of a finished simulation.
+
+    The CPU fractions are of the machine's total core time (makespan ×
+    cores), read from its time ledger.  Kernel overhead is fault-handler
+    time plus, on SMP, work-steal migration and TLB-shootdown IPIs.
+    """
     makespan = sim.machine.now_ns
     if makespan <= 0:
         raise SimulationError("simulation has not run yet")
-    idle = sim.metrics.idle
-    overhead = idle.handler_overhead_ns
-    useful = makespan - idle.total_idle_ns - overhead
+    core_time = makespan * sim.config.cores.count
+    cells = sim.machine.ledger.cells()
+    idle = IdleBreakdown.from_cells(cells)
+    overhead = idle.handler_overhead_ns + cells[MIGRATION] + cells[TLB_SHOOTDOWN]
+    useful = core_time - idle.total_idle_ns - overhead
     device_busy = sim.machine.device.stats.busy_ns
     link_busy = sim.machine.link.busy_ns
     channels = sim.machine.device.config.channels
     return UtilizationReport(
         makespan_ns=makespan,
-        cpu_useful_frac=useful / makespan,
-        cpu_idle_frac=idle.total_idle_ns / makespan,
-        cpu_overhead_frac=overhead / makespan,
+        cpu_useful_frac=useful / core_time,
+        cpu_idle_frac=idle.total_idle_ns / core_time,
+        cpu_overhead_frac=overhead / core_time,
         # The device has `channels` independent servers; utilisation is
         # per-channel-normalised so 100% means all channels saturated.
         device_util=min(1.0, device_busy / (makespan * channels)),

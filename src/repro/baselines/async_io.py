@@ -48,8 +48,7 @@ def block_on_fault(
         process.pid, vpn, machine.now_ns, on_complete=complete
     )
     # The handler itself runs on the CPU before the switch.
-    sim.consume_time(process, machine.config.fault_handler_ns)
-    sim.metrics.add_handler_overhead(machine.config.fault_handler_ns)
+    sim.consume_time(process, machine.config.fault_handler_ns, category="handler")
     process.stats.async_faults += 1
     sim.scheduler.block_current()
     telemetry = sim.telemetry

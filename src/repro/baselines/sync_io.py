@@ -27,14 +27,11 @@ def busy_wait_fault(sim: "Simulation", process: Process, vpn: int) -> int:
     machine = sim.machine
     start_ns = machine.now_ns
     fault = machine.fault_handler.begin_major_fault(process.pid, vpn, machine.now_ns)
-    sim.metrics.add_handler_overhead(machine.config.fault_handler_ns)
     wait_ns = fault.io_done_ns - fault.handler_done_ns
-    # Ledger split: handler software time is run, the busy-wait is spin.
+    # Ledger split: the handler's software time, then the busy-wait.
     sim.consume_time(process, fault.io_done_ns - machine.now_ns, category=None)
-    sim.charge_time(process.pid, "run", machine.config.fault_handler_ns)
+    sim.charge_time(process.pid, "handler", machine.config.fault_handler_ns)
     sim.charge_time(process.pid, "spin_wait", wait_ns)
-    sim.metrics.add_sync_storage_wait(wait_ns)
-    process.stats.storage_wait_ns += wait_ns
     process.stats.sync_faults += 1
     machine.memory.install_page(process.pid, vpn)
     telemetry = sim.telemetry

@@ -51,6 +51,7 @@ from repro.analysis.experiments import (
     DEFAULT_STATIC_POLICIES,
     DEFAULT_TAIL_PROFILES,
     POLICY_FACTORIES,
+    build_batch_policy,
     run_adaptive_comparison,
     run_batch_policy,
     run_core_scaling,
@@ -71,7 +72,7 @@ from repro.common.config import (
     with_cores,
     with_serving,
 )
-from repro.common.errors import ConfigError, ReproError
+from repro.common.errors import ConfigError, ReproError, TraceError
 from repro.common.units import format_time_ns
 from repro.faults.profiles import (
     FAULT_PROFILES,
@@ -488,22 +489,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_ledger(args: argparse.Namespace) -> int:
-    """``repro ledger``: run one cell and print the time-attribution
-    ledger (docs/OBSERVABILITY.md)."""
-    from repro.telemetry import Telemetry
-
+    """``repro ledger``: run one cell and print the machine's
+    time-attribution ledger (docs/OBSERVABILITY.md).  No telemetry is
+    attached, so the run takes its ordinary commit path."""
     config = _machine_config(args)
-    telemetry = Telemetry(events=False, ledger=True)
-    result = run_batch_policy(
-        config,
-        args.batch,
-        args.policy,
-        seed=args.seed,
-        scale=args.scale,
-        telemetry=telemetry,
+    sim = build_batch_policy(
+        config, args.batch, args.policy, seed=args.seed, scale=args.scale
     )
-    ledger = telemetry.ledger
-    assert ledger is not None
+    result = sim.run()
+    ledger = sim.machine.ledger
     cores = config.cores.count
     title = f"{args.policy} on {args.batch} (seed {args.seed}, scale {args.scale})"
     print(f"time-attribution ledger: {title}")
@@ -1199,8 +1193,11 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
 
     path = Path(args.path)
     if args.lackey:
-        with path.open("r", encoding="utf-8") as f:
-            trace = parse_lackey(f, max_instructions=args.max_instructions)
+        try:
+            with path.open("r", encoding="utf-8") as f:
+                trace = parse_lackey(f, max_instructions=args.max_instructions)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise TraceError(f"cannot read lackey trace {path}: {exc}") from exc
     else:
         trace = load_trace(path)
         if args.max_instructions is not None:

@@ -47,9 +47,7 @@ class SelfImprovingThread:
     touched.  An extension beyond the paper (its prefetcher is purely
     VA-adjacent); off by default, available for the ablation bench."""
     windows_stolen: int = 0
-    stolen_ns: int = 0
     demotions: int = 0
-    demoted_wait_ns: int = 0
 
     def handle_fault(self, sim: "Simulation", process: Process, vpn: int) -> None:
         """Serve a high-priority major fault synchronously, stealing the
@@ -60,7 +58,6 @@ class SelfImprovingThread:
         fault = machine.fault_handler.begin_major_fault(
             process.pid, vpn, machine.now_ns
         )
-        sim.metrics.add_handler_overhead(machine.config.fault_handler_ns)
         window_ns = fault.io_done_ns - fault.handler_done_ns
         faults_cfg = machine.config.faults
         if (
@@ -90,7 +87,6 @@ class SelfImprovingThread:
         recovery_latency = 0
         if budget_ns > 0 and not process.finished:
             self.windows_stolen += 1
-            self.stolen_ns += budget_ns
             sim.log_event("steal", process.pid, vpn)
             self.recovery.checkpoint(process.registers)
 
@@ -134,23 +130,22 @@ class SelfImprovingThread:
         # The window itself is still CPU idle time — committed progress
         # is stalled on storage throughout (the stolen work pays off as
         # *fewer future* faults and misses, which is what Section 4.2.1
-        # attributes the idle-time reduction to).  Ledger split: handler
-        # run, kernel-thread phases (entry/walk/runahead/restore) stolen
-        # run, residual busy-wait spin.
+        # attributes the idle-time reduction to).  Ledger split: the
+        # handler, the kernel-thread phases inside the window (entry,
+        # walk, runahead) as stolen run, the residual busy-wait as spin,
+        # and the register restore after the I/O as kernel-thread run.
         sim.consume_time(
             process, fault.io_done_ns - machine.now_ns + recovery_latency,
             category=None,
         )
-        sim.charge_time(process.pid, "run", machine.config.fault_handler_ns)
+        sim.charge_time(process.pid, "handler", machine.config.fault_handler_ns)
         sim.charge_time(
-            process.pid, "stolen_run",
-            (preexec_end_ns - fault.handler_done_ns) + recovery_latency,
+            process.pid, "stolen_run", preexec_end_ns - fault.handler_done_ns
         )
         sim.charge_time(
             process.pid, "spin_wait", fault.io_done_ns - preexec_end_ns
         )
-        sim.metrics.add_sync_storage_wait(window_ns)
-        process.stats.storage_wait_ns += window_ns
+        sim.charge_time(process.pid, "kthread_run", recovery_latency)
         process.stats.sync_faults += 1
         machine.memory.install_page(process.pid, vpn)
         if telemetry is not None:
@@ -196,7 +191,6 @@ class SelfImprovingThread:
         deadline_ns = machine.config.faults.demote_after_ns
         deadline_abs = fault.handler_done_ns + deadline_ns
         self.demotions += 1
-        self.demoted_wait_ns += window_ns - deadline_ns
         sim.log_event("demote", process.pid, vpn)
 
         if causal is not None:
@@ -214,7 +208,6 @@ class SelfImprovingThread:
         recovery_latency = 0
         if budget_ns > 0 and not process.finished:
             self.windows_stolen += 1
-            self.stolen_ns += budget_ns
             self.recovery.checkpoint(process.registers)
             if self.prefetcher is not None:
                 candidates, walk_cost_ns = self.prefetcher.collect(process.pid, vpn)
@@ -231,23 +224,20 @@ class SelfImprovingThread:
         # register restore; only that truncated slice of the window stays
         # synchronous idle — the abandoned remainder is async wait.
         # Ledger: the occupied slice is stolen run when the kernel thread
-        # got a budget, residual spin otherwise; the abandoned remainder
-        # books as demoted_wait from the idle loop while this fault is
-        # pending.
+        # got a budget (the restore after it kernel-thread run), residual
+        # spin otherwise; the abandoned remainder books as demoted_wait
+        # from the idle loop while this fault is pending.
         sim.consume_time(
             process, deadline_abs - machine.now_ns + recovery_latency,
             category=None,
         )
-        sim.charge_time(process.pid, "run", machine.config.fault_handler_ns)
+        sim.charge_time(process.pid, "handler", machine.config.fault_handler_ns)
         occupied_ns = deadline_abs - fault.handler_done_ns
         if stole:
-            sim.charge_time(
-                process.pid, "stolen_run", occupied_ns + recovery_latency
-            )
+            sim.charge_time(process.pid, "stolen_run", occupied_ns)
+            sim.charge_time(process.pid, "kthread_run", recovery_latency)
         else:
             sim.charge_time(process.pid, "spin_wait", occupied_ns)
-        sim.metrics.add_sync_storage_wait(deadline_ns)
-        process.stats.storage_wait_ns += deadline_ns
         process.stats.async_faults += 1
         blocked_from = machine.now_ns
         resume_at = max(fault.io_done_ns, blocked_from)

@@ -60,14 +60,14 @@ class SelfSacrificingThread:
         self.kthread.activate(sim.machine.now_ns, self.kthread.entry_cost_ns)
         # The mode-switch decision itself runs in kernel space for a few
         # hundred nanoseconds on the faulting process's time (ledger:
-        # stolen run — it is ITS thread work, not process progress).
+        # kernel-thread run — ITS thread work outside any stolen window).
         sim.consume_time(
-            process, self.kthread.entry_cost_ns, category="stolen_run"
+            process, self.kthread.entry_cost_ns, category="kthread_run"
         )
         entry_done_ns = sim.machine.now_ns
         if self.prefetcher is not None:
             candidates, walk_cost_ns = self.prefetcher.collect(process.pid, vpn)
-            sim.consume_time(process, walk_cost_ns, category="stolen_run")
+            sim.consume_time(process, walk_cost_ns, category="kthread_run")
             for candidate in candidates:
                 sim.issue_prefetch(process.pid, candidate)
             if telemetry is not None:

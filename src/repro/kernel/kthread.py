@@ -24,7 +24,6 @@ class KernelThread:
     name: str
     entry_cost_ns: int
     activations: int = 0
-    busy_ns: int = 0
     telemetry: object = None
     """Optional :class:`~repro.telemetry.Telemetry` handle; when set,
     each activation feeds a per-thread budget histogram."""
@@ -42,7 +41,6 @@ class KernelThread:
         self.activations += 1
         start = now_ns + self.entry_cost_ns
         budget = max(0, budget_ns - self.entry_cost_ns)
-        self.busy_ns += budget
         if self.telemetry is not None:
             self.telemetry.counter(f"kthread.{self.name}.activations").inc()
             self.telemetry.histogram(f"kthread.{self.name}.budget_ns").observe(budget)

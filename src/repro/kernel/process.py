@@ -4,7 +4,7 @@ A simulated process is a trace of instructions plus the scheduling state
 the mini kernel needs: priority (Linux RT convention — larger value means
 more important), the program counter into the trace, the register file,
 and per-process statistics used by the evaluation (finish time, fault
-counts, stall breakdown).
+and switch counts; the time breakdown lives in the machine's ledger).
 """
 
 from __future__ import annotations
@@ -31,20 +31,11 @@ class ProcessStats:
     """Per-process counters for the paper's metrics."""
 
     finish_time_ns: Optional[int] = None
-    cpu_time_ns: int = 0
-    memory_stall_ns: int = 0
-    storage_wait_ns: int = 0
     major_faults: int = 0
     minor_faults: int = 0
     context_switches: int = 0
     sync_faults: int = 0
     async_faults: int = 0
-
-    @property
-    def idle_contribution_ns(self) -> int:
-        """This process's share of the machine's idle time (memory stalls
-        plus synchronous storage waits charged while it ran)."""
-        return self.memory_stall_ns + self.storage_wait_ns
 
 
 @dataclass

@@ -41,7 +41,6 @@ class StealStats:
 
     attempts: int = 0
     steals: int = 0
-    migration_ns: int = 0
 
 
 class SMPScheduler:
@@ -264,7 +263,8 @@ class SMPScheduler:
     def publish_telemetry(self, registry, prefix: str = "sched.") -> None:
         """Publish aggregate ``sched.*`` gauges (same names the
         single-core scheduler uses), per-core ``sched.core{i}.*``
-        breakdowns, and the ``sched.steal.*`` counters."""
+        breakdowns, and the ``sched.steal.*`` counters (the simulator
+        adds ``sched.steal.migration_ns`` from its time ledger)."""
         for index, q in enumerate(self.queues):
             q.publish_telemetry(registry, prefix=f"{prefix}core{index}.")
         total = self.stats
@@ -275,4 +275,3 @@ class SMPScheduler:
         registry.gauge(f"{prefix}unblocks").set(total.unblocks)
         registry.gauge(f"{prefix}steal.attempts").set(self.steal_stats.attempts)
         registry.gauge(f"{prefix}steal.count").set(self.steal_stats.steals)
-        registry.gauge(f"{prefix}steal.migration_ns").set(self.steal_stats.migration_ns)

@@ -1,6 +1,6 @@
 """The trace-driven multi-programmed simulator."""
 
-from repro.sim.metrics import IdleBreakdown, MetricsCollector, ProcessRecord, SimulationResult
+from repro.sim.metrics import IdleBreakdown, ProcessRecord, SimulationResult
 from repro.sim.machine import CoreState, Machine, SMPMachine
 from repro.sim.simulator import Simulation, WorkloadInstance
 from repro.sim.batch import PAPER_BATCHES, BatchSpec, build_batch, batch_names
@@ -8,7 +8,6 @@ from repro.sim.eventlog import EventLog, SimEvent
 
 __all__ = [
     "IdleBreakdown",
-    "MetricsCollector",
     "ProcessRecord",
     "SimulationResult",
     "CoreState",

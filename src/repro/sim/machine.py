@@ -8,7 +8,9 @@ carved out as the pre-execute cache (Section 4.1).
 
 Virtual time lives here: ``advance(dt)`` moves the clock and fires every
 device event that came due, so DMA completions interleave with CPU
-progress at the right instants.
+progress at the right instants.  So does its account: ``ledger`` is the
+:class:`~repro.telemetry.ledger.TimeLedger` every charge site writes to
+(``active`` names the core a charge lands on).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.mem.tlb import TLB
 from repro.storage.device import ULLDevice
 from repro.storage.dma import DMAController, DMARequest
 from repro.storage.pcie import PCIeLink
+from repro.telemetry.ledger import TimeLedger
 from repro.vm.frames import FrameAllocator
 from repro.vm.mm import MemoryManager
 from repro.vm.replacement import ReplacementPolicy
@@ -49,7 +52,8 @@ class Machine:
     ) -> None:
         self.config = config
         self.telemetry = telemetry
-        self._ledger = getattr(telemetry, "ledger", None)
+        self.ledger = TimeLedger()
+        self.active = 0
         self.now_ns = 0
         self.events = EventQueue()
 
@@ -143,16 +147,6 @@ class Machine:
             raise SimulationError(f"clock would move backwards ({t_ns} < {self.now_ns})")
         self.advance(t_ns - self.now_ns)
 
-    def advance_ctx(self, dt_ns: int) -> None:
-        """Advance the clock across a context switch.
-
-        On a single core this is plain :meth:`advance`; the SMP machine
-        overrides it to charge the time to the per-core context-switch
-        bucket instead of the busy bucket, keeping each core's time
-        conservation law exact.
-        """
-        self.advance(dt_ns)
-
     # -- aggregate counters --------------------------------------------------
 
     def total_instructions_committed(self) -> int:
@@ -198,14 +192,13 @@ class Machine:
 
 @dataclass
 class CoreState:
-    """One core's private components and time-accounting buckets.
+    """One core's private components and clock.
 
     Each core owns the state that is per-CPU on a real SMP platform — a
     TLB, an execution engine, a context-switch model — and a private
-    clock.  The five buckets partition the core's wall clock exactly:
-    ``busy + idle + steal + ctx + shootdown == makespan`` after
-    :meth:`SMPMachine.finalize` (the per-core conservation law the SMP
-    integration suite asserts).
+    clock.  Where the clock's time went lives in the machine's ledger:
+    the core's cells sum to the makespan after
+    :meth:`SMPMachine.finalize` (the per-core conservation law).
     """
 
     index: int
@@ -213,11 +206,6 @@ class CoreState:
     cpu: SimCPU
     context_switch: ContextSwitchModel
     now_ns: int = 0
-    busy_ns: int = 0
-    idle_ns: int = 0
-    ctx_ns: int = 0
-    steal_ns: int = 0
-    shootdown_ns: int = 0
     pending_shootdown_ns: int = 0
     last_pid: Optional[int] = None
 
@@ -263,7 +251,6 @@ class SMPMachine(Machine):
                     ContextSwitchModel(config.scheduler, tlb, self.hierarchy),
                 )
             )
-        self.active = 0
         self.shootdown_ipis = 0
 
     # -- core selection ------------------------------------------------------
@@ -278,45 +265,30 @@ class SMPMachine(Machine):
         self.context_switch = core.context_switch
         self.now_ns = core.now_ns
 
-    def _sync_active(self, dt_ns: int, bucket: str) -> None:
-        core = self.cores[self.active]
-        core.now_ns = self.now_ns
-        setattr(core, bucket, getattr(core, bucket) + dt_ns)
-
     # -- per-core clocks -----------------------------------------------------
 
     def advance(self, dt_ns: int) -> None:
-        """Advance the active core's clock, charging the busy bucket."""
+        """Advance the active core's clock (the caller charges the time)."""
         super().advance(dt_ns)
-        self._sync_active(dt_ns, "busy_ns")
-
-    def advance_ctx(self, dt_ns: int) -> None:
-        """Advance the active core's clock across a context switch."""
-        Machine.advance(self, dt_ns)
-        self._sync_active(dt_ns, "ctx_ns")
+        self.cores[self.active].now_ns = self.now_ns
 
     def advance_idle_to(self, t_ns: int) -> None:
         """Catch the active core's clock up to *t_ns*, charging the gap
-        to its idle bucket (the core had nothing runnable before then)."""
+        as ``idle`` (the core had nothing runnable before then)."""
         if t_ns <= self.now_ns:
             return
         gap = t_ns - self.now_ns
-        Machine.advance(self, gap)
-        self._sync_active(gap, "idle_ns")
-        # SMP idle gaps stay plain ``idle`` in the ledger: by the time a
-        # core catches up to a process's ready time, the completion that
-        # readied it has already fired, so the single-core dma-wait /
-        # demoted-wait refinement is not observable here.
-        self._charge_ledger(None, "idle", gap)
+        self.advance(gap)
+        # SMP idle gaps stay plain ``idle``: by the time a core catches
+        # up to a process's ready time, the completion that readied it
+        # has already fired, so the single-core dma-wait / demoted-wait
+        # refinement is not observable here.
+        self.ledger.charge(self.active, None, "idle", gap)
 
     def charge_steal(self, dt_ns: int) -> None:
         """Charge migration overhead on the active (thief) core."""
-        Machine.advance(self, dt_ns)
-        self._sync_active(dt_ns, "steal_ns")
-        # Migration is scheduling overhead; the ledger folds it into
-        # ``ctx_switch`` (the per-core ``steal_ns`` bucket keeps the
-        # finer split).
-        self._charge_ledger(None, "ctx_switch", dt_ns)
+        self.advance(dt_ns)
+        self.ledger.charge(self.active, None, "migration", dt_ns)
 
     def drain_pending_shootdowns(self) -> None:
         """Pay IPI costs queued against the active core before it runs."""
@@ -325,13 +297,8 @@ class SMPMachine(Machine):
             return
         cost = core.pending_shootdown_ns
         core.pending_shootdown_ns = 0
-        Machine.advance(self, cost)
-        self._sync_active(cost, "shootdown_ns")
-        self._charge_ledger(None, "tlb_shootdown", cost)
-
-    def _charge_ledger(self, pid, category: str, ns: int) -> None:
-        if self._ledger is not None and ns > 0:
-            self._ledger.charge(self.active, pid, category, ns)
+        self.advance(cost)
+        self.ledger.charge(self.active, None, "tlb_shootdown", cost)
 
     def fire_next_event(self) -> None:
         """No core has runnable work: fire the earliest pending event
@@ -349,11 +316,7 @@ class SMPMachine(Machine):
         it.  Called once after the last process finishes."""
         makespan = max(core.now_ns for core in self.cores)
         for core in self.cores:
-            if self._ledger is not None and makespan > core.now_ns:
-                self._ledger.charge(
-                    core.index, None, "idle", makespan - core.now_ns
-                )
-            core.idle_ns += makespan - core.now_ns
+            self.ledger.charge(core.index, None, "idle", makespan - core.now_ns)
             core.now_ns = makespan
         self.now_ns = makespan
         return makespan

@@ -3,26 +3,40 @@
 The paper's headline metric is **total CPU idle time**: "the aggregated
 time of the CPU busy waiting for the response of memory and storage
 devices during the cache misses and page faults" (Section 2.2).  We
-decompose it:
+decompose it, each part a sum of the machine's time-ledger cells
+(:mod:`repro.telemetry.ledger`):
 
-* ``memory_stall_ns``       — DRAM waits on demand LLC misses;
-* ``sync_storage_ns``       — busy-waits on synchronous major faults;
-* ``async_idle_ns``         — time with no runnable process while I/O is
-  in flight;
-* ``ctx_switch_overhead_ns`` — direct context-switch time.
+* ``memory_stall_ns``       — DRAM waits on demand LLC misses
+  (``memory_stall``);
+* ``sync_storage_ns``       — busy-waits on synchronous major faults,
+  stolen or not (``spin_wait + stolen_run``);
+* ``async_idle_ns``         — time with no runnable process
+  (``idle + dma_wait + demoted_wait``);
+* ``ctx_switch_overhead_ns`` — direct context-switch time
+  (``ctx_switch``).
 
 Context-switch time counts as idle: during the switch the CPU moves
 register state around and "cannot proceed with process progress"
 (Section 2.2's definition) — this is exactly why the paper's Async
 baseline shows *more* idle time than Sync once device latency drops
 below the switch cost.  Fault-handler software time is genuine kernel
-work and is kept as overhead, outside the idle metric.
+work and is kept as overhead, outside the idle metric (``handler``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
+
+from repro.telemetry.ledger import (
+    BUSY,
+    CTX_SWITCH,
+    HANDLER,
+    MEMORY_STALL,
+    SPIN_WAIT,
+    STOLEN_RUN,
+    WAITING,
+)
 
 if TYPE_CHECKING:
     from repro.serving.request import ServingSummary
@@ -54,6 +68,29 @@ class IdleBreakdown:
     def total_overhead_ns(self) -> int:
         """Kernel-work time outside the idle metric."""
         return self.handler_overhead_ns
+
+    @classmethod
+    def from_cells(cls, cells: Sequence[int]) -> "IdleBreakdown":
+        """The breakdown as a view of per-category ledger totals
+        (:meth:`~repro.telemetry.ledger.TimeLedger.cells`)."""
+        return cls(
+            memory_stall_ns=cells[MEMORY_STALL],
+            sync_storage_ns=cells[SPIN_WAIT] + cells[STOLEN_RUN],
+            async_idle_ns=sum(cells[WAITING]),
+            ctx_switch_overhead_ns=cells[CTX_SWITCH],
+            handler_overhead_ns=cells[HANDLER],
+        )
+
+
+def process_times(cells: Sequence[int]) -> dict[str, int]:
+    """A :class:`ProcessRecord`'s time fields as a view of the process's
+    ledger cells: all its CPU time, its DRAM stalls, and its synchronous
+    storage waits (stolen or not)."""
+    return {
+        "cpu_time_ns": sum(cells[BUSY]),
+        "memory_stall_ns": cells[MEMORY_STALL],
+        "storage_wait_ns": cells[SPIN_WAIT] + cells[STOLEN_RUN],
+    }
 
 
 @dataclass(frozen=True)
@@ -122,30 +159,3 @@ class SimulationResult:
         ordered = self.finish_times_by_priority()
         bottom = ordered[len(ordered) // 2 :] or ordered
         return sum(r.finish_time_ns for r in bottom) / len(bottom)
-
-
-class MetricsCollector:
-    """Accumulates machine-wide timing during a run."""
-
-    def __init__(self) -> None:
-        self.idle = IdleBreakdown()
-
-    def add_memory_stall(self, ns: int) -> None:
-        """DRAM wait on a demand LLC miss."""
-        self.idle.memory_stall_ns += ns
-
-    def add_sync_storage_wait(self, ns: int) -> None:
-        """Busy-wait on a synchronous major fault."""
-        self.idle.sync_storage_ns += ns
-
-    def add_async_idle(self, ns: int) -> None:
-        """No runnable process; CPU waits for an I/O completion."""
-        self.idle.async_idle_ns += ns
-
-    def add_ctx_overhead(self, ns: int) -> None:
-        """Direct context-switch cost."""
-        self.idle.ctx_switch_overhead_ns += ns
-
-    def add_handler_overhead(self, ns: int) -> None:
-        """Page-fault handler software cost."""
-        self.idle.handler_overhead_ns += ns

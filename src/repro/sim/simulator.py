@@ -40,8 +40,19 @@ from repro.serving.request import (
     ServingSummary,
 )
 from repro.sim.machine import Machine, SMPMachine
-from repro.sim.metrics import MetricsCollector, ProcessRecord, SimulationResult
+from repro.sim.metrics import IdleBreakdown, ProcessRecord, SimulationResult, process_times
 from repro.storage.dma import DMARequest
+from repro.telemetry.ledger import (
+    BUSY,
+    CTX_SWITCH,
+    HANDLER,
+    MEMORY_STALL,
+    MIGRATION,
+    NO_TIME,
+    RUN,
+    TLB_SHOOTDOWN,
+    WAITING,
+)
 from repro.trace.record import footprint_vpns
 from repro.vm.mm import FaultKind
 from repro.vm.replacement import (
@@ -210,10 +221,9 @@ class Simulation:
             telemetry.bind_clock(lambda: self.machine.now_ns)
             if self._smp:
                 telemetry.bind_core(lambda: self.machine.active)
-        # Ledger and causal graph are opt-in riders on the telemetry
-        # handle; both stay None (and cost one comparison per site) on
-        # ordinary runs.
-        self._ledger = telemetry.ledger if telemetry is not None else None
+        # The causal graph is an opt-in rider on the telemetry handle;
+        # it stays None (and costs one comparison per site) on ordinary
+        # runs.
         self._causal = telemetry.causal if telemetry is not None else None
         self._demoted_pending = 0
         page_size = config.memory.page_size
@@ -265,7 +275,6 @@ class Simulation:
             for process in self.processes:
                 self.scheduler.add(process)
 
-        self.metrics = MetricsCollector()
         self._last_pid: Optional[int] = None
         self._prefetch_inflight: set[tuple[int, int]] = set()
 
@@ -374,7 +383,6 @@ class Simulation:
                 scheduler.active = thief
                 machine.advance_idle_to(stolen.ready_since_ns)
                 machine.charge_steal(migration_ns)
-                scheduler.steal_stats.migration_ns += migration_ns
                 stolen.ready_since_ns = machine.now_ns
                 runnable.append(thief)
                 self.log_event("steal", stolen.pid)
@@ -397,7 +405,6 @@ class Simulation:
             cores[index].last_pid = self._last_pid
 
         machine.finalize()
-        self.metrics.add_async_idle(sum(core.idle_ns for core in cores))
         return self._build_result()
 
     def _dispatch_or_idle(self) -> bool:
@@ -409,8 +416,7 @@ class Simulation:
         if self._last_pid is not None and self._last_pid != process.pid:
             switch_start = self.machine.now_ns
             cost = self.machine.context_switch.perform(self._last_pid)
-            self.machine.advance_ctx(cost)
-            self.metrics.add_ctx_overhead(cost)
+            self.machine.advance(cost)
             self.charge_time(process.pid, "ctx_switch", cost)
             process.stats.context_switches += 1
             self.log_event("ctx_switch", process.pid)
@@ -442,20 +448,18 @@ class Simulation:
             )
         gap = max(0, next_time - self.machine.now_ns)
         idle_start = self.machine.now_ns
-        if self._ledger is not None and gap > 0:
-            # Refine the idle reason while it is still observable: DMA
-            # in flight means the core sleeps on storage; a pending
-            # demoted fault means it waits out a demoted tail; anything
-            # else is plain idle.
-            if self.machine.dma.inflight > 0:
-                category = "dma_wait"
-            elif self._demoted_pending > 0:
-                category = "demoted_wait"
-            else:
-                category = "idle"
-            self._ledger.charge(self._core_index(), None, category, gap)
+        # Classify the gap while its reason is still observable: DMA in
+        # flight means the core sleeps on storage; a pending demoted
+        # fault means it waits out a demoted tail; anything else is
+        # plain idle.
+        if self.machine.dma.inflight > 0:
+            category = "dma_wait"
+        elif self._demoted_pending > 0:
+            category = "demoted_wait"
+        else:
+            category = "idle"
+        self.charge_time(None, category, gap)
         self.machine.advance_to(max(next_time, self.machine.now_ns))
-        self.metrics.add_async_idle(gap)
         if self.telemetry is not None and gap > 0:
             self.telemetry.record_span(
                 "cpu.idle", idle_start, idle_start + gap, track="cpu"
@@ -467,20 +471,25 @@ class Simulation:
         process = self.scheduler.current
         if process is None:  # the fault handler may have blocked it
             return
+        machine = self.machine
         instr = process.current_instruction
-        result = self.machine.cpu.execute(process.pid, instr)
+        result = machine.cpu.execute(process.pid, instr)
 
         if result.outcome is StepOutcome.MAJOR_FAULT:
             self._major_fault(process, result.fault_vpn)
             return
 
-        self.consume_time(process, result.time_ns)
-        if result.stall_ns:
-            process.stats.memory_stall_ns += result.stall_ns
-            self.metrics.add_memory_stall(result.stall_ns)
+        time_ns = result.time_ns
+        stall = result.stall_ns
+        handler = self.config.fault_handler_ns if result.minor_fault else 0
+        row = machine.ledger.row(machine.active, process.pid)
+        row[RUN] += time_ns - stall - handler
+        row[MEMORY_STALL] += stall
+        row[HANDLER] += handler
+        machine.advance(time_ns)
+        process.slice_remaining_ns -= time_ns
         if result.minor_fault:
             process.stats.minor_faults += 1
-            self.metrics.add_handler_overhead(self.config.fault_handler_ns)
             self.log_event("minor_fault", process.pid)
         self.policy.on_instruction_complete(self, process, instr, result)
         process.advance()
@@ -515,8 +524,7 @@ class Simulation:
         displaced = self.scheduler.preempt_for_resume()
         switch_start = self.machine.now_ns
         cost = self.machine.context_switch.perform(displaced.pid)
-        self.machine.advance_ctx(cost)
-        self.metrics.add_ctx_overhead(cost)
+        self.machine.advance(cost)
         resumed = self.scheduler.current
         self.charge_time(
             resumed.pid if resumed is not None else None,
@@ -630,7 +638,7 @@ class Simulation:
         cpu = machine.cpu
         stats = process.stats
         registers = process.registers
-        idle = self.metrics.idle
+        row = machine.ledger.row(machine.active, pid)
         tlb_stats = tlb.stats
         page_cache = self._page_cache
         page_cache_get = page_cache.get
@@ -669,15 +677,13 @@ class Simulation:
                 cpu.instructions_committed += d_committed
                 d_committed = 0
             if d_cpu:
-                stats.cpu_time_ns += d_cpu
-                d_cpu = 0
-            if d_stall:
-                stats.memory_stall_ns += d_stall
-                idle.memory_stall_ns += d_stall
-                d_stall = 0
+                handler = d_minor * fault_handler_ns
+                row[RUN] += d_cpu - d_stall - handler
+                row[MEMORY_STALL] += d_stall
+                row[HANDLER] += handler
+                d_cpu = d_stall = 0
             if d_minor:
                 stats.minor_faults += d_minor
-                idle.handler_overhead_ns += d_minor * fault_handler_ns
                 d_minor = 0
             if d_hits:
                 tlb_stats.hits += d_hits
@@ -836,6 +842,8 @@ class Simulation:
                 time_ns += lat
                 d_committed += 1
                 d_cpu += time_ns
+                d_stall += stall
+                d_minor += minor
                 now += time_ns
                 slice_left -= time_ns
 
@@ -848,10 +856,6 @@ class Simulation:
                 slice_left = process.slice_remaining_ns
                 resume_pending = resume_preempts()
                 last_v = -1
-            if stall:
-                d_stall += stall
-            if minor:
-                d_minor += 1
             if hook is not None and stall > 0:
                 flush()
                 hook(
@@ -1010,20 +1014,15 @@ class Simulation:
         segments passes ``category=None`` and calls :meth:`charge_time`
         itself for each segment.
         """
-        if self._ledger is not None and category is not None:
+        if category is not None:
             self.charge_time(process.pid, category, dt_ns)
         self.machine.advance(dt_ns)
         process.slice_remaining_ns -= dt_ns
-        process.stats.cpu_time_ns += dt_ns
 
     def charge_time(self, pid: Optional[int], category: str, ns: int) -> None:
         """Attribute *ns* on the active core to (*pid*, *category*) in
-        the time ledger (no-op when no ledger is attached)."""
-        if self._ledger is not None and ns > 0:
-            self._ledger.charge(self._core_index(), pid, category, ns)
-
-    def _core_index(self) -> int:
-        return self.machine.active if self._smp else 0
+        the machine's time ledger."""
+        self.machine.ledger.charge(self.machine.active, pid, category, ns)
 
     def note_demote_blocked(self, delta: int) -> None:
         """Track how many demoted faults are waiting out their tail
@@ -1118,7 +1117,8 @@ class Simulation:
         registry.gauge("dma.writebacks_issued").set(machine.dma.writebacks_issued)
         registry.gauge("fault.handler_time_ns").set(machine.fault_handler.handler_time_ns)
         registry.gauge("swap_cache.hits").set(machine.memory.swap_cache.hits)
-        idle = self.metrics.idle
+        ledger = machine.ledger
+        idle = IdleBreakdown.from_cells(ledger.cells())
         registry.gauge("idle.memory_stall_ns").set(idle.memory_stall_ns)
         registry.gauge("idle.sync_storage_ns").set(idle.sync_storage_ns)
         registry.gauge("idle.async_idle_ns").set(idle.async_idle_ns)
@@ -1131,41 +1131,43 @@ class Simulation:
         registry.gauge("sim.makespan_ns").set(machine.now_ns)
         if machine.tiers is not None:
             machine.tiers.publish_telemetry(registry)
-        if self._ledger is not None:
-            for category, ns in self._ledger.by_category().items():
-                registry.gauge(f"ledger.{category}_ns").set(ns)
+        for category, ns in ledger.by_category().items():
+            registry.gauge(f"ledger.{category}_ns").set(ns)
         if self._smp:
             self._publish_smp_telemetry(registry)
 
     def _publish_smp_telemetry(self, registry) -> None:
-        """Per-core ``cpu.core{i}.*`` buckets, per-core TLBs, and the
-        cross-core shootdown totals (SMP runs only, so single-core
-        telemetry output is byte-identical to before the SMP layer)."""
+        """Per-core ``cpu.core{i}.*`` time buckets (views of each core's
+        ledger cells), per-core TLBs, and the cross-core shootdown and
+        migration totals (SMP runs only, so single-core telemetry output
+        carries no per-core names)."""
         machine = self.machine
+        ledger = machine.ledger
+        per_core = ledger.cells_by_core()
         for core in machine.cores:
+            cells = per_core.get(core.index, NO_TIME)
             prefix = f"cpu.core{core.index}."
-            registry.gauge(f"{prefix}busy_ns").set(core.busy_ns)
-            registry.gauge(f"{prefix}idle_ns").set(core.idle_ns)
-            registry.gauge(f"{prefix}steal_ns").set(core.steal_ns)
-            registry.gauge(f"{prefix}ctx_ns").set(core.ctx_ns)
-            registry.gauge(f"{prefix}shootdown_ns").set(core.shootdown_ns)
+            registry.gauge(f"{prefix}busy_ns").set(sum(cells[BUSY]))
+            registry.gauge(f"{prefix}idle_ns").set(sum(cells[WAITING]))
+            registry.gauge(f"{prefix}steal_ns").set(cells[MIGRATION])
+            registry.gauge(f"{prefix}ctx_ns").set(cells[CTX_SWITCH])
+            registry.gauge(f"{prefix}shootdown_ns").set(cells[TLB_SHOOTDOWN])
             registry.gauge(f"{prefix}instructions").set(
                 core.cpu.instructions_committed
             )
             core.tlb.publish_telemetry(registry, f"tlb.core{core.index}")
+        totals = ledger.cells()
         registry.gauge("tlb.shootdown.count").set(machine.shootdown_ipis)
-        registry.gauge("tlb.shootdown.cost_ns").set(
-            sum(core.shootdown_ns for core in machine.cores)
-        )
+        registry.gauge("tlb.shootdown.cost_ns").set(totals[TLB_SHOOTDOWN])
+        registry.gauge("sched.steal.migration_ns").set(totals[MIGRATION])
 
     def _build_result(self) -> SimulationResult:
-        if self._ledger is not None:
-            # The conservation law is an always-on invariant of any
-            # ledger-attached run, not just a test-suite assertion: a
-            # charge-site bug fails the run loudly instead of skewing
-            # the breakdown silently.
-            cores = len(self.machine.cores) if self._smp else 1
-            self._ledger.audit(self.machine.now_ns, cores)
+        # The conservation law is an invariant of every run, not just a
+        # test-suite assertion: a charge-site bug fails the run loudly
+        # instead of skewing the breakdown silently.
+        ledger = self.machine.ledger
+        ledger.audit(self.machine.now_ns, self.config.cores.count)
+        per_pid = ledger.cells_by_process()
         records = []
         majors = minors = 0
         for process in self.processes:
@@ -1189,9 +1191,7 @@ class Simulation:
                     priority=process.priority,
                     data_intensive=process.data_intensive,
                     finish_time_ns=process.stats.finish_time_ns,
-                    cpu_time_ns=process.stats.cpu_time_ns,
-                    memory_stall_ns=process.stats.memory_stall_ns,
-                    storage_wait_ns=process.stats.storage_wait_ns,
+                    **process_times(per_pid.get(process.pid, NO_TIME)),
                     major_faults=mm.major_faults,
                     minor_faults=mm.minor_faults,
                     context_switches=process.stats.context_switches,
@@ -1205,7 +1205,7 @@ class Simulation:
             policy=self.policy.name,
             batch=self.batch_name,
             makespan_ns=self.machine.now_ns,
-            idle=self.metrics.idle,
+            idle=IdleBreakdown.from_cells(ledger.cells()),
             processes=records,
             demand_cache_misses=llc.demand_misses,
             demand_cache_accesses=llc.demand_accesses,

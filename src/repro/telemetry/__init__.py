@@ -12,8 +12,8 @@ Three layers:
   under hierarchical dotted names;
 * :mod:`repro.telemetry.spans` — the span tracer on the virtual clock;
 * :mod:`repro.telemetry.ledger` — the time-attribution ledger (every
-  nanosecond on every core in exactly one of eight categories, with a
-  conservation audit);
+  nanosecond on every core in exactly one of twelve categories, with a
+  conservation audit; each machine owns one);
 * :mod:`repro.telemetry.causal` — the causal event graph (parent-linked
   fault lifecycles, critical-path and steal-payoff analysis);
 * :mod:`repro.telemetry.exporters` — the output formats.

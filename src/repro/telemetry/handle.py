@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.telemetry.causal import CausalGraph
-from repro.telemetry.ledger import TimeLedger
 from repro.telemetry.registry import (
     DEFAULT_LATENCY_BOUNDS_NS,
     Counter,
@@ -49,12 +48,15 @@ class Telemetry:
     ``events=False`` drops the embedded event log (spans and metrics
     only); ``event_capacity``/``span_capacity`` bound memory use on long
     runs exactly like :class:`~repro.sim.eventlog.EventLog` does.
-    ``ledger=True`` attaches a :class:`~repro.telemetry.ledger
-    .TimeLedger` (every nanosecond attributed, conservation-audited at
-    end of run); ``causal=True`` attaches a :class:`~repro.telemetry
-    .causal.CausalGraph` (parent-linked fault lifecycles).  Both default
-    off so an ordinary telemetry run's output is unchanged and the
-    detached (``telemetry=None``) path stays zero-cost.
+    ``causal=True`` attaches a :class:`~repro.telemetry.causal
+    .CausalGraph` (parent-linked fault lifecycles); it defaults off so
+    an ordinary telemetry run's output is unchanged.
+
+    ``ledger`` is accepted and ignored.  The time ledger is not a
+    telemetry rider: every machine owns one (``machine.ledger``) and
+    every run is audited against it, with or without a handle.  The
+    keyword stays so existing callers (``perfbench/harness.py`` among
+    them) keep constructing ``Telemetry(ledger=True)``.
     """
 
     def __init__(
@@ -70,7 +72,6 @@ class Telemetry:
     ) -> None:
         self.registry = registry if registry is not None else MetricRegistry()
         self.tracer = tracer if tracer is not None else SpanTracer(span_capacity)
-        self.ledger: Optional[TimeLedger] = TimeLedger() if ledger else None
         self.causal: Optional[CausalGraph] = CausalGraph() if causal else None
         self._core_of: Optional[Callable[[], int]] = None
         self.event_log: Optional["EventLog"] = None

@@ -26,6 +26,7 @@ from typing import Iterable
 
 from repro.common.errors import TraceError
 from repro.cpu.isa import Branch, Compute, Instruction, Load, Store
+from repro.trace.record import check_instruction
 
 MAGIC = b"ITSTRACE"
 VERSION = 1
@@ -99,9 +100,14 @@ def save_trace_binary(path: str | Path, trace: Iterable[Instruction]) -> int:
 
 
 def load_trace_binary(path: str | Path) -> list[Instruction]:
-    """Read a trace written by :func:`save_trace_binary`."""
+    """Read a trace written by :func:`save_trace_binary`.  An unreadable
+    file raises :class:`TraceError` naming the path, a malformed record
+    one naming the record."""
     path = Path(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise TraceError(f"cannot read trace {path}: {exc}") from exc
     if len(data) < _HEADER.size:
         raise TraceError(f"{path} is too short to be a binary trace")
     magic, version, count = _HEADER.unpack_from(data, 0)
@@ -116,7 +122,8 @@ def load_trace_binary(path: str | Path) -> list[Instruction]:
         )
     trace = []
     offset = _HEADER.size
-    for __ in range(count):
-        trace.append(_decode(data[offset : offset + _RECORD.size]))
+    for index in range(count):
+        record = _decode(data[offset : offset + _RECORD.size])
+        trace.append(check_instruction(record, f"record {index}"))
         offset += _RECORD.size
     return trace

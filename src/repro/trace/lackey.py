@@ -56,6 +56,8 @@ def parse_lackey(lines: Iterable[str], *, max_instructions: int | None = None) -
             raise TraceError(f"malformed lackey record: {line!r}") from exc
         if size <= 0:
             raise TraceError(f"non-positive access size in record: {line!r}")
+        if addr < 0:
+            raise TraceError(f"negative address in record: {line!r}")
         if marker == "I":
             trace.append(Compute(dst=next_reg(), srcs=(), cycles=1))
         elif marker == "L":

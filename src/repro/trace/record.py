@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.common.errors import TraceError
 from repro.cpu.isa import Instruction, Load, Store
+from repro.cpu.registers import NUM_REGISTERS
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,19 @@ class TraceSummary:
     def memory_ratio(self) -> float:
         """Fraction of instructions that touch memory."""
         return self.memory_ops / self.instructions if self.instructions else 0.0
+
+
+def check_instruction(instr: Instruction, where: str) -> Instruction:
+    """Return *instr* if every register it names lies in
+    ``[0, NUM_REGISTERS)`` and its address is non-negative; otherwise
+    raise :class:`TraceError` naming *where* (a line or record)."""
+    if getattr(instr, "vaddr", 0) < 0:
+        raise TraceError(f"negative address {instr.vaddr} on {where}")
+    named = (getattr(instr, field, None) for field in ("dst", "src", "addr_reg"))
+    for reg in (*named, *getattr(instr, "srcs", ())):
+        if reg is not None and not 0 <= reg < NUM_REGISTERS:
+            raise TraceError(f"register {reg} outside [0, {NUM_REGISTERS}) on {where}")
+    return instr
 
 
 def footprint_vpns(trace: list[Instruction], page_size: int = 4096) -> set[int]:

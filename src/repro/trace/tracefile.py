@@ -19,6 +19,7 @@ from typing import Iterable
 
 from repro.common.errors import TraceError
 from repro.cpu.isa import Branch, Compute, Instruction, Load, Store
+from repro.trace.record import check_instruction
 
 
 def _format(instr: Instruction) -> str:
@@ -85,13 +86,18 @@ def save_trace(path: str | Path, trace: Iterable[Instruction], *, header: str = 
 
 
 def load_trace(path: str | Path) -> list[Instruction]:
-    """Read a trace written by :func:`save_trace`."""
+    """Read a trace written by :func:`save_trace`.  An unreadable or
+    non-UTF-8 file raises :class:`TraceError` naming the path, a
+    malformed line one naming the line."""
     path = Path(path)
     trace: list[Instruction] = []
-    with path.open("r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            trace.append(_parse(line, lineno))
+    try:
+        with path.open("r", encoding="utf-8") as f:
+            for lineno, raw in enumerate(f, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                trace.append(check_instruction(_parse(line, lineno), f"line {lineno}"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceError(f"cannot read trace {path}: {exc}") from exc
     return trace

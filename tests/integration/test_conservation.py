@@ -3,13 +3,17 @@
 Virtual time only advances through three channels: CPU occupancy charged
 to a process (`consume_time`), context-switch costs, and idle gaps while
 every process waits on I/O.  The makespan must therefore decompose
-exactly — no time is created or lost.
+exactly — no time is created or lost — and every run audits that on
+its machine's time ledger.
 """
 
 import pytest
 
 from repro import MachineConfig, Simulation, build_batch
 from repro.analysis.experiments import POLICY_FACTORIES
+from repro.common.config import with_cores
+from repro.common.errors import SimulationError
+from repro.telemetry.ledger import TimeLedger
 
 
 @pytest.mark.parametrize("policy_name", list(POLICY_FACTORIES))
@@ -57,3 +61,20 @@ def test_memory_stalls_match_process_records():
     result = Simulation(MachineConfig(), batch, POLICY_FACTORIES["Sync"]()).run()
     per_process = sum(p.memory_stall_ns for p in result.processes)
     assert per_process == result.idle.memory_stall_ns
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_every_run_audits_its_ledger(cores, monkeypatch):
+    """A dropped charge fails a bare run (no telemetry attached)."""
+    charge = TimeLedger.charge
+
+    def drop_ctx_switch(self, core, pid, category, ns):
+        if category != "ctx_switch":
+            charge(self, core, pid, category, ns)
+
+    monkeypatch.setattr(TimeLedger, "charge", drop_ctx_switch)
+    config = with_cores(MachineConfig(), cores)
+    batch = build_batch("1_Data_Intensive", seed=5, scale=0.05, config=config)
+    sim = Simulation(config, batch, POLICY_FACTORIES["Async"]())
+    with pytest.raises(SimulationError, match=r"conservation violated on core \d"):
+        sim.run()

@@ -2,10 +2,10 @@
 
 Three invariants anchor this file (docs/OBSERVABILITY.md):
 
-* **conservation** — with the time ledger attached, every simulated
-  nanosecond on every core lands in exactly one category, for every
-  paper policy at 1, 2 and 4 cores;
-* **zero perturbation** — attaching the ledger and the causal graph
+* **conservation** — every simulated nanosecond on every core lands in
+  exactly one time-ledger category, for every paper policy at 1, 2 and
+  4 cores, and every other time figure is a view of those cells;
+* **zero perturbation** — attaching telemetry and the causal graph
   changes nothing about the simulated outcome;
 * **causal soundness** — the fault graph is acyclic and complete
   (every fault reaches a ``resume``).
@@ -14,8 +14,13 @@ Three invariants anchor this file (docs/OBSERVABILITY.md):
 import pytest
 
 from repro import MachineConfig, Telemetry
-from repro.analysis.experiments import PAPER_POLICIES, run_batch_policy
+from repro.analysis.experiments import (
+    PAPER_POLICIES,
+    build_batch_policy,
+    run_batch_policy,
+)
 from repro.telemetry import LEDGER_CATEGORIES
+from repro.telemetry.ledger import BUSY, MEMORY_STALL, SPIN_WAIT, STOLEN_RUN
 
 SCALE = 0.1
 BATCH = "2_Data_Intensive"
@@ -34,24 +39,38 @@ def _run(policy_name, *, cores=None, telemetry=None, config=None):
     )
 
 
+def _sim(policy_name, *, cores=None):
+    """A bare (no telemetry) cell, run; its machine's ledger is live."""
+    sim = build_batch_policy(
+        MachineConfig(), BATCH, policy_name, seed=SEED, scale=SCALE, cores=cores
+    )
+    return sim, sim.run()
+
+
 @pytest.mark.parametrize("policy_name", PAPER_POLICIES)
 @pytest.mark.parametrize("cores", [1, 2, 4])
 def test_ledger_conservation_across_policies_and_cores(policy_name, cores):
-    telemetry = Telemetry(events=False, ledger=True)
-    result = _run(policy_name, cores=cores, telemetry=telemetry)
-    ledger = telemetry.ledger
+    sim, result = _sim(policy_name, cores=cores)
+    ledger = sim.machine.ledger
     # The simulator audits at _build_result time; re-assert explicitly.
     ledger.audit(result.makespan_ns, cores)
     assert ledger.total_ns() == result.makespan_ns * cores
     for core in range(cores):
         assert ledger.core_total_ns(core) == result.makespan_ns
     assert set(ledger.by_category()) == set(LEDGER_CATEGORIES)
+    # Per-process records are views of the process's cells.
+    per_pid = ledger.cells_by_process()
+    for record in result.processes:
+        cells = per_pid[record.pid]
+        assert record.cpu_time_ns == sum(cells[BUSY])
+        assert record.memory_stall_ns == cells[MEMORY_STALL]
+        assert record.storage_wait_ns == cells[SPIN_WAIT] + cells[STOLEN_RUN]
 
 
 @pytest.mark.parametrize("policy_name", PAPER_POLICIES)
 def test_observability_does_not_perturb_results(policy_name):
     bare = _run(policy_name)
-    telemetry = Telemetry(events=False, ledger=True, causal=True)
+    telemetry = Telemetry(events=False, causal=True)
     observed = _run(policy_name, telemetry=telemetry)
     assert bare.makespan_ns == observed.makespan_ns
     assert bare.major_faults == observed.major_faults
@@ -91,9 +110,8 @@ class TestSyncLedgerIdentities:
 
     @pytest.fixture(scope="class")
     def run(self):
-        telemetry = Telemetry(events=False, ledger=True)
-        result = _run("Sync", telemetry=telemetry)
-        return result, telemetry.ledger
+        sim, result = _sim("Sync")
+        return result, sim.machine.ledger
 
     def test_spin_wait_is_the_sync_storage_wait(self, run):
         result, ledger = run
@@ -110,7 +128,9 @@ class TestSyncLedgerIdentities:
         _result, ledger = run
         totals = ledger.by_category()
         assert totals["stolen_run"] == 0
+        assert totals["kthread_run"] == 0
         assert totals["tlb_shootdown"] == 0
+        assert totals["migration"] == 0
 
 
 class TestSMPSpanTiling:
@@ -170,9 +190,15 @@ class TestSMPSpanTiling:
 
 
 def test_ledger_gauges_published():
-    telemetry = Telemetry(events=False, ledger=True)
+    telemetry = Telemetry(events=False)
     _run("ITS", telemetry=telemetry)
     snap = telemetry.registry.snapshot()
     for category in LEDGER_CATEGORIES:
         assert f"ledger.{category}_ns" in snap
     assert snap["ledger.run_ns"] > 0
+    assert snap["ledger.stolen_run_ns"] > 0
+
+
+def test_ledger_keyword_is_accepted_and_ignored():
+    telemetry = Telemetry(ledger=True)
+    assert not hasattr(telemetry, "ledger")

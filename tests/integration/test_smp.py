@@ -2,9 +2,9 @@
 
 Three contracts anchor the multi-core model:
 
-* **per-core time conservation** — each core's five buckets
-  (busy + idle + steal + ctx + shootdown) tile its wall clock exactly,
-  the SMP analogue of test_conservation.py's makespan decomposition;
+* **per-core time conservation** — each core's time-ledger cells tile
+  its wall clock exactly, the SMP analogue of test_conservation.py's
+  makespan decomposition;
 * **single-core bit-identity** — ``cores=1`` serialises to nothing, so
   sweep-cache keys and batch results are byte-identical to the seed
   repo (the pinned digests of test_adaptive_policy.py must not move);
@@ -22,6 +22,7 @@ from repro.common.config import CoreConfig, MachineConfig, with_cores
 from repro.common.errors import ConfigError
 from repro.sim.batch import build_batch, run_batch_instrumented
 from repro.sim.simulator import Simulation
+from repro.telemetry.ledger import WAITING
 
 SMP_POLICIES = ["Sync", "Async", "ITS"]
 
@@ -29,7 +30,7 @@ SMP_POLICIES = ["Sync", "Async", "ITS"]
 def run_smp(policy_name, cores, *, scale=0.2, seed=5, batch="1_Data_Intensive",
             config=None, **core_kw):
     """Run one batch on an SMP machine; return the live Simulation and
-    its result (the machine's per-core buckets stay inspectable)."""
+    its result (the machine's ledger stays inspectable)."""
     config = with_cores(config or MachineConfig(), cores, **core_kw)
     workloads = build_batch(batch, seed=seed, scale=scale, config=config)
     sim = Simulation(
@@ -44,30 +45,21 @@ class TestPerCoreConservation:
     def test_buckets_tile_each_cores_clock(self, policy_name, cores):
         sim, result = run_smp(policy_name, cores)
         for core in sim.machine.cores:
-            accounted = (
-                core.busy_ns
-                + core.idle_ns
-                + core.steal_ns
-                + core.ctx_ns
-                + core.shootdown_ns
-            )
-            assert accounted == result.makespan_ns
+            assert sim.machine.ledger.core_total_ns(core.index) == result.makespan_ns
             assert core.now_ns == result.makespan_ns
 
     def test_conservation_survives_disabled_stealing(self):
         sim, result = run_smp("Async", 2, work_steal=False)
         assert sim.scheduler.steal_stats.steals == 0
+        assert sim.machine.ledger.by_category()["migration"] == 0
         for core in sim.machine.cores:
-            total = (
-                core.busy_ns + core.idle_ns + core.steal_ns
-                + core.ctx_ns + core.shootdown_ns
-            )
-            assert total == result.makespan_ns
+            assert sim.machine.ledger.core_total_ns(core.index) == result.makespan_ns
 
     def test_async_idle_equals_summed_core_idle(self):
         sim, result = run_smp("Async", 2)
         assert result.idle.async_idle_ns == sum(
-            core.idle_ns for core in sim.machine.cores
+            sum(sim.machine.ledger.cells_by_core()[core.index][WAITING])
+            for core in sim.machine.cores
         )
 
     def test_instructions_sum_over_cores(self):
@@ -141,7 +133,9 @@ class TestScaling:
     def test_work_actually_migrates(self):
         sim, _ = run_smp("Async", 2)
         assert sim.scheduler.steal_stats.steals > 0
-        assert sim.scheduler.steal_stats.migration_ns > 0
+        assert sim.machine.ledger.by_category()["migration"] == (
+            sim.scheduler.steal_stats.steals * sim.config.cores.migration_cost_ns
+        )
 
     def test_run_core_scaling_rows_and_speedups(self):
         rows = run_core_scaling(core_counts=(1, 2), policies=("Async",), scale=0.1)
@@ -166,8 +160,16 @@ class TestTelemetry:
         )
         registry = telemetry.registry
         busy = [registry.gauge(f"cpu.core{i}.busy_ns").value for i in range(2)]
-        idle = [registry.gauge(f"cpu.core{i}.idle_ns").value for i in range(2)]
         assert all(value > 0 for value in busy)
+        # The five per-core buckets are views of the core's ledger cells
+        # and tile its clock.
+        for i in range(2):
+            assert sum(
+                registry.gauge(f"cpu.core{i}.{bucket}_ns").value
+                for bucket in ("busy", "idle", "steal", "ctx", "shootdown")
+            ) == result.makespan_ns
+        migration = registry.gauge("sched.steal.migration_ns").value
+        assert migration == registry.gauge("ledger.migration_ns").value > 0
         assert registry.gauge("sched.steal.count").value > 0
         assert registry.gauge("sched.core0.dispatches").value > 0
         assert registry.gauge("tlb.shootdown.count").value >= 0

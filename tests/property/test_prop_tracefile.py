@@ -1,11 +1,16 @@
-"""Property-based round-trip tests for the trace file format and the
-lackey parser."""
+"""Property-based tests for the trace file formats and the lackey
+parser: round trips, and arbitrary input either parses or raises
+:class:`TraceError` (never any other exception)."""
+
+import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import TraceError
 from repro.cpu.isa import Branch, Compute, Load, Store
 from repro.cpu.registers import NUM_REGISTERS
+from repro.trace.binfile import MAGIC, VERSION, load_trace_binary
 from repro.trace.lackey import parse_lackey
 from repro.trace.tracefile import load_trace, save_trace
 
@@ -98,3 +103,52 @@ def test_binary_roundtrip_identity(tmp_path_factory, trace):
     path = tmp_path_factory.mktemp("bintraces") / "t.bin"
     save_trace_binary(path, trace)
     assert load_trace_binary(path) == trace
+
+
+def parses_or_raises_trace_error(load):
+    try:
+        load()
+    except TraceError:
+        pass
+
+
+# Text built from the formats' own alphabet reaches the field parsers far
+# more often than uniform unicode does.
+trace_text = st.one_of(
+    st.text(),
+    st.lists(
+        st.text(alphabet="CLSBIM -,0123456789abcdefx#\t", max_size=24),
+        max_size=20,
+    ).map("\n".join),
+)
+
+
+@given(trace_text)
+@settings(max_examples=200, deadline=None)
+def test_lackey_parses_or_raises_trace_error(text):
+    parses_or_raises_trace_error(lambda: parse_lackey(text.splitlines(True)))
+
+
+@given(st.one_of(st.binary(), trace_text.map(str.encode)))
+@settings(max_examples=200, deadline=None)
+def test_text_trace_parses_or_raises_trace_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "t.txt"
+    path.write_bytes(data)
+    parses_or_raises_trace_error(lambda: load_trace(path))
+
+
+@given(st.lists(st.binary(min_size=12, max_size=12), max_size=20), st.binary(max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_binary_trace_parses_or_raises_trace_error(tmp_path_factory, records, tail):
+    path = tmp_path_factory.mktemp("fuzz") / "t.bin"
+    header = struct.pack("<8sII", MAGIC, VERSION, len(records))
+    path.write_bytes(header + b"".join(records) + tail)
+    parses_or_raises_trace_error(lambda: load_trace_binary(path))
+
+
+@given(st.binary())
+@settings(max_examples=100, deadline=None)
+def test_raw_bytes_parse_or_raise_trace_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "t.bin"
+    path.write_bytes(data)
+    parses_or_raises_trace_error(lambda: load_trace_binary(path))

@@ -1,5 +1,7 @@
 """Unit tests for the binary trace format."""
 
+import struct
+
 import pytest
 
 from repro.common.errors import TraceError
@@ -76,6 +78,29 @@ class TestErrors:
         path.write_bytes(MAGIC[:4])
         with pytest.raises(TraceError):
             load_trace_binary(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            (1, 16, 0, 8, 0x1000),  # load into register 16
+            (2, 255, 0, 8, 0x1000),  # store from register 255
+            (1, 0, 255, 8, 0x1000),  # address register 254
+            (0, 0, 1, 1, 0x20),  # compute reading register 32
+            (3, 1, 0, 0, 0x11),  # branch on register 17
+        ],
+    )
+    def test_bad_register_byte_rejected_naming_record(self, tmp_path, record):
+        path = tmp_path / "t.bin"
+        save_trace_binary(path, [Compute(dst=0)] * 2)
+        data = bytearray(path.read_bytes())
+        data[-12:] = struct.pack("<BBBBQ", *record)
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceError, match="record 1"):
+            load_trace_binary(path)
+
+    def test_missing_file_raises_naming_path(self, tmp_path):
+        with pytest.raises(TraceError, match="absent.bin"):
+            load_trace_binary(tmp_path / "absent.bin")
 
     def test_too_many_srcs_rejected(self, tmp_path):
         path = tmp_path / "t.bin"

@@ -450,6 +450,23 @@ class TestTraceStats:
         assert code == 0
         assert "instructions    10" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("lackey", [False, True])
+    def test_non_utf8_file_is_a_clean_error(self, capsys, tmp_path, lackey):
+        path = tmp_path / "bad.trace"
+        path.write_bytes(b"\xff\xfe L 1000,8\n")
+        argv = ["trace-stats", str(path)] + (["--lackey"] if lackey else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read")
+        assert str(path) in err
+
+    @pytest.mark.parametrize("lackey", [False, True])
+    def test_missing_file_is_a_clean_error(self, capsys, tmp_path, lackey):
+        path = tmp_path / "absent.trace"
+        argv = ["trace-stats", str(path)] + (["--lackey"] if lackey else [])
+        assert main(argv) == 1
+        assert str(path) in capsys.readouterr().err
+
 
 class TestFiguresCSVExport:
     def test_save_csv_writes_panels(self, capsys, tmp_path):

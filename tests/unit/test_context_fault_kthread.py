@@ -72,9 +72,3 @@ class TestKernelThread:
         thread = KernelThread("t", entry_cost_ns=300)
         _, budget = thread.activate(now_ns=0, budget_ns=200)
         assert budget == 0
-
-    def test_busy_time_accumulates(self):
-        thread = KernelThread("t", entry_cost_ns=100)
-        thread.activate(0, 1000)
-        thread.activate(0, 500)
-        assert thread.busy_ns == 900 + 400

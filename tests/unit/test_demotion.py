@@ -13,7 +13,9 @@ from repro.common.config import FaultConfig, MachineConfig
 from repro.core import ITSPolicy
 from repro.faults import with_fault_profile
 from repro.kernel.process import ProcessState
+from repro.sim.metrics import IdleBreakdown
 from repro.sim.simulator import Simulation, WorkloadInstance
+from repro.telemetry.ledger import SPIN_WAIT, STOLEN_RUN
 
 from tests.conftest import make_linear_trace
 
@@ -119,8 +121,10 @@ class TestDemotionMechanics:
         assert process.stats.sync_faults == 0
         # Only the stolen deadline slice is synchronous storage wait.
         deadline = sim.config.faults.demote_after_ns
-        assert sim.metrics.idle.sync_storage_ns == deadline
-        assert process.stats.storage_wait_ns == deadline
+        ledger = sim.machine.ledger
+        assert IdleBreakdown.from_cells(ledger.cells()).sync_storage_ns == deadline
+        cells = ledger.cells_by_process()[process.pid]
+        assert cells[SPIN_WAIT] + cells[STOLEN_RUN] == deadline
 
     def test_recovery_balanced_after_demotion_run(self, small_config):
         policy = ITSPolicy()

@@ -12,6 +12,7 @@ from repro.cpu.isa import Load
 from repro.kernel.kthread import KernelThread
 from repro.kernel.process import ProcessState
 from repro.sim.simulator import Simulation, WorkloadInstance
+from repro.telemetry.ledger import STOLEN_RUN
 
 from tests.conftest import make_linear_trace
 
@@ -29,7 +30,7 @@ class TestSelfImproving:
         sim = make_sim(small_config, workloads, policy)
         sim.run()
         assert policy.improving.windows_stolen > 0
-        assert policy.improving.stolen_ns > 0
+        assert sim.machine.ledger.cells_by_process()[0][STOLEN_RUN] > 0
         assert policy.improving.kthread.activations == policy.selection.high_selections
 
     def test_too_small_window_steals_nothing(self, small_config):

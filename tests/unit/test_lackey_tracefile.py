@@ -50,6 +50,10 @@ class TestLackey:
         with pytest.raises(TraceError):
             parse_lackey([" L 1000,0"])
 
+    def test_negative_address_raises(self):
+        with pytest.raises(TraceError, match="negative address"):
+            parse_lackey([" L -1000,8"])
+
     def test_max_instructions_cap(self):
         lines = [" L 1000,8"] * 100
         assert len(parse_lackey(lines, max_instructions=10)) == 10
@@ -96,6 +100,29 @@ class TestTraceFile:
         path.write_text("X 1 2 3\n")
         with pytest.raises(TraceError):
             load_trace(path)
+
+    @pytest.mark.parametrize(
+        "line", ["L -3 ff 4", "L 16 ff 4", "S 1 ff 4 99", "C 0 1 2 -1", "B 1 20"]
+    )
+    def test_register_out_of_range_raises_with_lineno(self, tmp_path, line):
+        path = tmp_path / "trace.txt"
+        path.write_text(f"C 0 1\n{line}\n")
+        with pytest.raises(TraceError, match="register .* on line 2"):
+            load_trace(path)
+
+    def test_negative_address_raises_with_lineno(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_text("L 1 -ff 4\n")
+        with pytest.raises(TraceError, match="negative address .* on line 1"):
+            load_trace(path)
+
+    def test_unreadable_file_raises_naming_path(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_bytes(b"C 0 1\n\xff\n")
+        with pytest.raises(TraceError, match="trace.txt"):
+            load_trace(path)
+        with pytest.raises(TraceError, match="absent.txt"):
+            load_trace(tmp_path / "absent.txt")
 
     def test_lackey_to_file_roundtrip(self, tmp_path):
         trace = parse_lackey([" L 1000,8", " S 2000,4", " M 3000,8"])

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.telemetry import LEDGER_CATEGORIES, TimeLedger
+from repro.telemetry.ledger import IDLE, MEMORY_STALL, MIGRATION, RUN, SPIN_WAIT
 
 
 class TestCharge:
@@ -12,15 +13,15 @@ class TestCharge:
         ledger.charge(0, 1, "run", 100)
         ledger.charge(0, 1, "run", 50)
         ledger.charge(0, 2, "run", 10)
-        assert ledger.by_process()[1]["run"] == 150
-        assert ledger.by_process()[2]["run"] == 10
+        assert ledger.cells_by_process()[1][RUN] == 150
+        assert ledger.cells_by_process()[2][RUN] == 10
         assert ledger.total_ns() == 160
 
     def test_zero_charge_is_dropped(self):
         ledger = TimeLedger()
         ledger.charge(0, 1, "idle", 0)
         assert ledger.total_ns() == 0
-        assert ledger.by_core() == {}
+        assert ledger.cells_by_core() == {}
 
     def test_negative_charge_raises(self):
         with pytest.raises(SimulationError, match="negative"):
@@ -33,7 +34,27 @@ class TestCharge:
     def test_none_pid_books_unattributed(self):
         ledger = TimeLedger()
         ledger.charge(0, None, "idle", 40)
-        assert ledger.by_process()[None]["idle"] == 40
+        assert ledger.cells_by_process()[None][IDLE] == 40
+
+
+class TestRows:
+    def test_row_is_live_and_indexed_by_category(self):
+        ledger = TimeLedger()
+        row = ledger.row(1, 7)
+        row[MEMORY_STALL] += 30
+        assert ledger.row(1, 7) is row
+        assert ledger.cells_by_process()[7][MEMORY_STALL] == 30
+        assert ledger.core_total_ns(1) == 30
+
+    def test_views_sum_rows(self):
+        ledger = TimeLedger()
+        ledger.charge(0, 1, "run", 10)
+        ledger.charge(1, 1, "run", 5)
+        ledger.charge(1, None, "migration", 7)
+        assert ledger.cells_by_process()[1][RUN] == 15
+        assert ledger.cells_by_core()[1][MIGRATION] == 7
+        assert ledger.cells()[RUN] == 15
+        assert 99 not in ledger.cells_by_process()
 
 
 class TestBreakdowns:
@@ -52,10 +73,10 @@ class TestBreakdowns:
         assert totals["dma_wait"] == 0
 
     def test_by_core(self):
-        per_core = self._sample().by_core()
+        per_core = self._sample().cells_by_core()
         assert sorted(per_core) == [0, 1]
-        assert per_core[0]["run"] == 60 and per_core[0]["idle"] == 40
-        assert per_core[1]["spin_wait"] == 70
+        assert per_core[0][RUN] == 60 and per_core[0][IDLE] == 40
+        assert per_core[1][SPIN_WAIT] == 70
 
     def test_core_total(self):
         ledger = self._sample()

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.sim.metrics import (
-    IdleBreakdown,
-    MetricsCollector,
-    ProcessRecord,
-    SimulationResult,
-)
+from repro.sim.metrics import IdleBreakdown, ProcessRecord, SimulationResult
+from repro.telemetry.ledger import CATEGORIES, TimeLedger
 
 
 def record(pid, priority, finish, data_intensive=False):
@@ -58,21 +54,18 @@ class TestIdleBreakdown:
         assert idle.total_idle_ns == 100
         assert idle.total_overhead_ns == 99
 
-    def test_collector_routing(self):
-        collector = MetricsCollector()
-        collector.add_memory_stall(1)
-        collector.add_sync_storage_wait(2)
-        collector.add_async_idle(3)
-        collector.add_ctx_overhead(4)
-        collector.add_handler_overhead(5)
-        idle = collector.idle
-        assert (
-            idle.memory_stall_ns,
-            idle.sync_storage_ns,
-            idle.async_idle_ns,
-            idle.ctx_switch_overhead_ns,
-            idle.handler_overhead_ns,
-        ) == (1, 2, 3, 4, 5)
+    def test_view_of_ledger_cells(self):
+        ledger = TimeLedger()
+        for ns, category in enumerate(CATEGORIES, start=1):
+            ledger.charge(0, None, category, ns)
+        idle = IdleBreakdown.from_cells(ledger.cells())
+        assert idle == IdleBreakdown(
+            memory_stall_ns=2,  # memory_stall
+            sync_storage_ns=4 + 5,  # spin_wait + stolen_run
+            async_idle_ns=10 + 11 + 12,  # idle + dma_wait + demoted_wait
+            ctx_switch_overhead_ns=7,  # ctx_switch
+            handler_overhead_ns=3,  # handler
+        )
 
 
 class TestFinishTimeSplit:

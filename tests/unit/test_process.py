@@ -45,10 +45,6 @@ class TestLifecycle:
 
 
 class TestStats:
-    def test_idle_contribution(self):
-        stats = ProcessStats(memory_stall_ns=100, storage_wait_ns=200)
-        assert stats.idle_contribution_ns == 300
-
     def test_defaults(self):
         stats = ProcessStats()
         assert stats.finish_time_ns is None

@@ -1,11 +1,13 @@
-"""Unit tests for the SMP machine: per-core clocks, time buckets, and
-cross-core TLB shootdowns over the shared memory hierarchy."""
+"""Unit tests for the SMP machine: per-core clocks, the ledger cells
+their gaps and overheads are charged to, and cross-core TLB shootdowns
+over the shared memory hierarchy."""
 
 import pytest
 
 from repro.common.config import with_cores
 from repro.common.errors import SimulationError
 from repro.sim.machine import SMPMachine
+from repro.telemetry.ledger import IDLE, MIGRATION, TLB_SHOOTDOWN
 from repro.vm.replacement import GlobalLRUPolicy
 
 
@@ -36,35 +38,31 @@ class TestTopology:
 
 
 class TestTimeBuckets:
-    def test_advance_charges_busy_on_active_core_only(self, smp):
+    def test_advance_moves_only_the_active_clock(self, smp):
         smp.activate(0)
         smp.advance(100)
-        assert smp.cores[0].busy_ns == 100
         assert smp.cores[0].now_ns == 100
-        assert smp.cores[1].busy_ns == 0
         assert smp.cores[1].now_ns == 0
-
-    def test_advance_ctx_charges_ctx_bucket(self, smp):
-        smp.advance_ctx(70)
-        assert smp.cores[0].ctx_ns == 70
-        assert smp.cores[0].busy_ns == 0
+        # Plain advance charges nothing: its caller owns the category.
+        assert smp.ledger.total_ns() == 0
 
     def test_advance_idle_to_charges_gap(self, smp):
         smp.advance(100)
         smp.advance_idle_to(250)
-        assert smp.cores[0].idle_ns == 150
+        assert smp.ledger.cells_by_core()[0][IDLE] == 150
         assert smp.cores[0].now_ns == 250
 
     def test_advance_idle_to_past_time_is_noop(self, smp):
         smp.advance(100)
         smp.advance_idle_to(50)
-        assert smp.cores[0].idle_ns == 0
+        assert smp.ledger.total_ns() == 0
         assert smp.cores[0].now_ns == 100
 
     def test_charge_steal(self, smp):
         smp.activate(1)
         smp.charge_steal(2000)
-        assert smp.cores[1].steal_ns == 2000
+        assert smp.ledger.cells_by_core()[1][MIGRATION] == 2000
+        assert smp.ledger.core_total_ns(0) == 0
         assert smp.cores[1].now_ns == 2000
 
     def test_clocks_are_independent(self, smp):
@@ -82,7 +80,8 @@ class TestTimeBuckets:
         smp.advance(40)
         makespan = smp.finalize()
         assert makespan == 100
-        assert smp.cores[1].idle_ns == 60
+        assert smp.ledger.cells_by_core()[1][IDLE] == 60
+        assert 0 not in smp.ledger.cells_by_core()
         assert all(core.now_ns == 100 for core in smp.cores)
         assert smp.now_ns == 100
 
@@ -138,12 +137,12 @@ class TestShootdown:
         smp._on_page_evicted(7, 3, frame)
         smp.drain_pending_shootdowns()
         cost = smp.config.cores.tlb_shootdown_ns
-        assert smp.cores[0].shootdown_ns == cost
+        assert smp.ledger.cells_by_core()[0][TLB_SHOOTDOWN] == cost
         assert smp.cores[0].now_ns == cost
         assert smp.cores[0].pending_shootdown_ns == 0
         # Draining again is a no-op.
         smp.drain_pending_shootdowns()
-        assert smp.cores[0].shootdown_ns == cost
+        assert smp.ledger.cells_by_core()[0][TLB_SHOOTDOWN] == cost
 
 
 class TestAggregates:

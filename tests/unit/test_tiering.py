@@ -122,6 +122,22 @@ class TestTierConfig:
         tiered = with_tier_presets(base, ["ull", "nvme"])
         assert tiered.to_dict() != base.to_dict()
 
+    def test_tiered_config_gets_its_own_cache_key(self):
+        from repro.analysis.runner import SweepCell, cache_key
+
+        def key(config):
+            return cache_key(
+                SweepCell(
+                    config=config, batch="1_Data_Intensive",
+                    policy="ITS", seed=1, scale=0.2,
+                )
+            )
+
+        # The pinned single-device ITS key (see test_engine_digests.py).
+        seed_key = "6a50da2424f49f20b1ec536a29c882339af854b9ace480f71c119cbbd4010966"
+        assert key(MachineConfig()) == seed_key
+        assert key(with_tier_presets(MachineConfig(), ["ull", "nvme"])) != seed_key
+
     def test_enabled_needs_tiers(self):
         with pytest.raises(ConfigError):
             TierConfig(enabled=True, tiers=())

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.utilization import render_utilization, utilization
 from repro.baselines import AsyncIOPolicy, SyncIOPolicy
+from repro.common.config import with_cores
 from repro.common.errors import SimulationError
 from repro.sim.simulator import Simulation, WorkloadInstance
 
@@ -44,6 +45,18 @@ class TestUtilization:
             report.link_util,
         ):
             assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("cores", [2, 4])
+    def test_smp_fractions_are_of_total_core_time(self, small_config, cores):
+        sim = run_sim(with_cores(small_config, cores), SyncIOPolicy())
+        report = utilization(sim)
+        fractions = (
+            report.cpu_useful_frac,
+            report.cpu_idle_frac,
+            report.cpu_overhead_frac,
+        )
+        assert all(0.0 <= value <= 1.0 for value in fractions)
+        assert sum(fractions) == pytest.approx(1.0)
 
     def test_device_sees_traffic(self, small_config):
         sim = run_sim(small_config, SyncIOPolicy())
