@@ -788,6 +788,7 @@ class Simulation:
                         minor = touch.kind is FaultKind.MINOR
                         if minor:
                             time_ns += fault_handler_ns
+                            d_minor += 1
                         resume_pending = resume_preempts()
                         last_v = -1
                     if tlb_hit:
@@ -843,7 +844,6 @@ class Simulation:
                 d_committed += 1
                 d_cpu += time_ns
                 d_stall += stall
-                d_minor += minor
                 now += time_ns
                 slice_left -= time_ns
 

@@ -13,7 +13,7 @@ from repro import MachineConfig, Simulation, build_batch
 from repro.analysis.experiments import POLICY_FACTORIES
 from repro.common.config import with_cores
 from repro.common.errors import SimulationError
-from repro.telemetry.ledger import TimeLedger
+from repro.telemetry.ledger import CATEGORIES, TimeLedger
 
 
 @pytest.mark.parametrize("policy_name", list(POLICY_FACTORIES))
@@ -78,3 +78,29 @@ def test_every_run_audits_its_ledger(cores, monkeypatch):
     sim = Simulation(config, batch, POLICY_FACTORIES["Async"]())
     with pytest.raises(SimulationError, match=r"conservation violated on core \d"):
         sim.run()
+
+
+class _MonotoneRow(list):
+    """A ledger row that refuses to shrink: every charge adds time."""
+
+    def __setitem__(self, index, value):
+        assert value >= self[index], f"{CATEGORIES[index]} cell decreased"
+        super().__setitem__(index, value)
+
+
+@pytest.mark.parametrize("policy_name", ["Async", "ITS"])
+def test_windowed_ledger_cells_never_decrease(policy_name, monkeypatch):
+    """A window flush adds a record's stall and minor-fault time together
+    with the record itself, so no flushed ``run`` delta is negative even
+    when a device event cuts the window between them."""
+    row = TimeLedger.row
+
+    def monotone_row(self, core, pid):
+        cells = row(self, core, pid)
+        if type(cells) is list:
+            cells = self._rows[(core, pid)] = _MonotoneRow(cells)
+        return cells
+
+    monkeypatch.setattr(TimeLedger, "row", monotone_row)
+    batch = build_batch("No_Data_Intensive", seed=3, scale=0.2)
+    Simulation(MachineConfig(), batch, POLICY_FACTORIES[policy_name]()).run()

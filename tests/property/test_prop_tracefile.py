@@ -137,18 +137,25 @@ def test_text_trace_parses_or_raises_trace_error(tmp_path_factory, data):
     parses_or_raises_trace_error(lambda: load_trace(path))
 
 
-@given(st.lists(st.binary(min_size=12, max_size=12), max_size=20), st.binary(max_size=4))
-@settings(max_examples=200, deadline=None)
-def test_binary_trace_parses_or_raises_trace_error(tmp_path_factory, records, tail):
-    path = tmp_path_factory.mktemp("fuzz") / "t.bin"
+def _binary_trace(records, tail):
+    """A valid header over arbitrary 12-byte records, plus stray bytes."""
     header = struct.pack("<8sII", MAGIC, VERSION, len(records))
-    path.write_bytes(header + b"".join(records) + tail)
-    parses_or_raises_trace_error(lambda: load_trace_binary(path))
+    return header + b"".join(records) + tail
 
 
-@given(st.binary())
-@settings(max_examples=100, deadline=None)
-def test_raw_bytes_parse_or_raise_trace_error(tmp_path_factory, data):
+binary_trace = st.one_of(
+    st.binary(),
+    st.builds(
+        _binary_trace,
+        st.lists(st.binary(min_size=12, max_size=12), max_size=20),
+        st.binary(max_size=4),
+    ),
+)
+
+
+@given(binary_trace)
+@settings(max_examples=200, deadline=None)
+def test_binary_trace_parses_or_raises_trace_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "t.bin"
     path.write_bytes(data)
     parses_or_raises_trace_error(lambda: load_trace_binary(path))

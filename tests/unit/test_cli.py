@@ -451,21 +451,16 @@ class TestTraceStats:
         assert "instructions    10" in capsys.readouterr().out
 
     @pytest.mark.parametrize("lackey", [False, True])
-    def test_non_utf8_file_is_a_clean_error(self, capsys, tmp_path, lackey):
+    @pytest.mark.parametrize("content", [b"\xff\xfe L 1000,8\n", None])
+    def test_unreadable_file_is_a_clean_error(self, capsys, tmp_path, lackey, content):
         path = tmp_path / "bad.trace"
-        path.write_bytes(b"\xff\xfe L 1000,8\n")
+        if content is not None:  # None: the file does not exist
+            path.write_bytes(content)
         argv = ["trace-stats", str(path)] + (["--lackey"] if lackey else [])
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read")
         assert str(path) in err
-
-    @pytest.mark.parametrize("lackey", [False, True])
-    def test_missing_file_is_a_clean_error(self, capsys, tmp_path, lackey):
-        path = tmp_path / "absent.trace"
-        argv = ["trace-stats", str(path)] + (["--lackey"] if lackey else [])
-        assert main(argv) == 1
-        assert str(path) in capsys.readouterr().err
 
 
 class TestFiguresCSVExport:
@@ -506,6 +501,26 @@ class TestObservabilityVerbs:
         assert code == 0
         out = capsys.readouterr().out
         assert "core0" in out and "core1" in out
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_ledger_reads_the_machine_without_telemetry(
+        self, capsys, monkeypatch, cores
+    ):
+        from repro.telemetry import LEDGER_CATEGORIES, Telemetry
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("repro ledger attached a Telemetry handle")
+
+        monkeypatch.setattr(Telemetry, "__init__", refuse)
+        argv = ["ledger", "--policy", "ITS", "--scale", "0.1", "--cores", str(cores)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        makespan = int(lines[1].split("makespan ")[1].split()[0].replace(",", ""))
+        rows = {line.split()[0]: line.split() for line in lines[4:17]}
+        assert list(rows) == list(LEDGER_CATEGORIES) + ["total"]
+        # Each row: category, one cell per core, total, share.
+        totals = [int(row[cores + 1].replace(",", "")) for row in rows.values()]
+        assert sum(totals[:-1]) == totals[-1] == makespan * cores
 
     def test_path_prints_fault_chains(self, capsys):
         code = main(["path", "--policy", "ITS", "--scale", "0.1"])
