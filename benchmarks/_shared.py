@@ -63,7 +63,7 @@ def _run_cell_traced(config, batch: str, policy: str, seed: int, scale: float):
 
     from repro.telemetry import Telemetry, export_chrome_trace
 
-    telemetry = Telemetry(events=False)
+    telemetry = Telemetry()
     result = run_batch_policy(
         config, batch, policy, seed=seed, scale=scale, telemetry=telemetry
     )
@@ -96,7 +96,7 @@ def _engine_grid(config, seeds: Sequence[int], scale: float):
     from repro.telemetry import Telemetry
 
     cache = None if NO_CACHE else ResultCache(CACHE_DIR)
-    telemetry = Telemetry(events=False)
+    telemetry = Telemetry()
 
     def progress(done, total, cell, cached):
         tag = "cache" if cached else "ran"

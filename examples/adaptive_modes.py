@@ -70,7 +70,7 @@ def main() -> None:
 
     # One instrumented run under the heavy tail: watch the controller's
     # decisions and what its estimators converged to.
-    telemetry = Telemetry(events=False)
+    telemetry = Telemetry()
     faulty = with_fault_profile(base, "tail_bimodal")
     run_batch_policy(
         faulty, "1_Data_Intensive", "Adaptive", seed=7, scale=0.3, telemetry=telemetry

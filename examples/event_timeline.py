@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Inspecting a run with the event log.
+"""Inspecting a run's event stream.
 
-Attaches an :class:`EventLog` to an ITS simulation, then renders (a) the
-per-kind event counts, (b) an ASCII timeline of when the self-improving
-thread stole windows and the self-sacrificing thread demoted faults, and
-(c) each process's fault-rate sparkline over its lifetime.
+Attaches a :class:`Telemetry` handle to an ITS simulation, then renders
+(a) the per-kind event counts, (b) an ASCII timeline of when the
+self-improving thread stole windows and the self-sacrificing thread
+demoted faults, and (c) each process's fault-rate sparkline over its
+lifetime.  The events are the instants the handle records on its
+tracer's ``events`` track.
 
 Run:  python examples/event_timeline.py
 """
 
-from repro import EventLog, ITSPolicy, MachineConfig, Simulation, build_batch
+from collections import Counter
+
+from repro import ITSPolicy, MachineConfig, Simulation, Telemetry, build_batch
 from repro.analysis.charts import render_sparkline
 from repro.analysis.timeline import render_timeline
 from repro.analysis.utilization import render_utilization, utilization
@@ -20,22 +24,25 @@ BUCKETS = 60
 
 def main() -> None:
     config = MachineConfig()
-    log = EventLog()
+    telemetry = Telemetry()
     batch = build_batch("2_Data_Intensive", seed=7)
-    sim = Simulation(config, batch, ITSPolicy(), batch_name="timeline", event_log=log)
+    sim = Simulation(
+        config, batch, ITSPolicy(), batch_name="timeline", telemetry=telemetry
+    )
     result = sim.run()
+    events = telemetry.tracer.of_track("events")
 
     print(f"run finished: makespan {format_time_ns(result.makespan_ns)}")
     print()
     print("event counts:")
-    for kind, count in sorted(log.counts().items()):
+    for kind, count in sorted(Counter(e.name for e in events).items()):
         print(f"  {kind:<15s} {count}")
 
     print()
     print(f"timeline ({BUCKETS} buckets across the makespan):")
     print(
         render_timeline(
-            log,
+            telemetry,
             result.makespan_ns,
             kinds=("steal", "sacrifice", "major_fault", "finish"),
             buckets=BUCKETS,
@@ -45,9 +52,9 @@ def main() -> None:
 
     print()
     print("per-process major-fault rate over time (sparklines):")
+    faults = [e for e in events if e.name == "major_fault"]
     for record in result.finish_times_by_priority():
-        faults = log.of_kind("major_fault")
-        times = [e.time_ns for e in faults if e.pid == record.pid]
+        times = [e.start_ns for e in faults if e.pid == record.pid]
         series = [0.0] * 24
         for t in times:
             series[min(23, t * 24 // max(1, record.finish_time_ns))] += 1

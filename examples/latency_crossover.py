@@ -47,7 +47,7 @@ def main() -> None:
         else Path(tempfile.gettempdir()) / "repro-crossover-cache"
     )
     cache = ResultCache(cache_dir)
-    telemetry = Telemetry(events=False)  # counts runner.cache.hit / .miss
+    telemetry = Telemetry()  # counts runner.cache.hit / .miss
 
     rows = sweep_device_latency(
         LATENCIES_US,

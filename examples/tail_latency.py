@@ -82,7 +82,7 @@ def main() -> None:
 
     # One instrumented ITS run under the heaviest profile: watch the
     # injector and the demotion machinery at work.
-    telemetry = Telemetry(events=False)
+    telemetry = Telemetry()
     faulty = with_fault_profile(base, "tail_bimodal")
     run_batch_policy(
         faulty, "1_Data_Intensive", "ITS", seed=7, scale=0.3, telemetry=telemetry

@@ -64,9 +64,7 @@ from repro.core import ITSPolicy
 from repro.sim import (
     PAPER_BATCHES,
     BatchSpec,
-    EventLog,
     Machine,
-    SimEvent,
     Simulation,
     SimulationResult,
     WorkloadInstance,
@@ -131,8 +129,6 @@ __all__ = [
     "Machine",
     "Simulation",
     "build_simulation",
-    "EventLog",
-    "SimEvent",
     "SimulationResult",
     "WorkloadInstance",
     "BatchSpec",

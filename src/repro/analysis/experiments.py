@@ -60,15 +60,13 @@ def build_batch_policy(
     seed: int = 1,
     scale: float = 1.0,
     cores: Optional[int] = None,
-    event_log=None,
     telemetry=None,
 ) -> Simulation:
     """Build (but do not run) one (batch, policy, seed) cell.
 
     Pass a :class:`~repro.telemetry.Telemetry` handle as *telemetry* to
-    collect spans and metrics from the run (its embedded event log is
-    used when *event_log* is not given).  ``cores`` overrides the
-    config's SMP core count.  The returned
+    collect events, spans and metrics from the run.  ``cores``
+    overrides the config's SMP core count.  The returned
     :class:`~repro.sim.simulator.Simulation` keeps its machine, so a
     caller can read ``sim.machine.ledger`` after ``sim.run()``.
     """
@@ -99,7 +97,6 @@ def build_batch_policy(
         workloads,
         factory(),
         batch_name=batch_name,
-        event_log=event_log,
         telemetry=telemetry,
         requests=requests,
     )

@@ -138,7 +138,7 @@ def _fault_latency_section(
     )
     out.write("| policy | faults | p50 | p95 | p99 | mean |\n|---|---|---|---|---|---|\n")
     for policy in POLICY_FACTORIES:
-        telemetry = Telemetry(events=False)
+        telemetry = Telemetry()
         run_batch_policy(
             config, batch, policy, seed=seed, scale=scale, telemetry=telemetry
         )

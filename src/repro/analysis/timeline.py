@@ -1,37 +1,42 @@
-"""ASCII timelines over the event log.
+"""ASCII timelines over a run's event stream.
 
 Renders when things happened across a run's makespan: one fixed-width
-strip per event kind (or per process), bucketed over virtual time.  The
-`examples/event_timeline.py` walkthrough is built on these.
+strip per event kind, bucketed over virtual time.  The events are the
+instants :meth:`~repro.telemetry.Telemetry.on_event` records on the
+tracer's ``events`` track.  The `examples/event_timeline.py` walkthrough
+is built on these.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.common.errors import SimulationError
-from repro.sim.eventlog import EventLog, SimEvent
+from repro.telemetry.spans import Span
+
+if TYPE_CHECKING:
+    from repro.telemetry import Telemetry
 
 
 def bucket_events(
-    events: Iterable[SimEvent],
+    events: Iterable[Span],
     makespan_ns: int,
     buckets: int = 60,
 ) -> list[int]:
-    """Histogram of event counts over *buckets* equal time slices."""
+    """Histogram of event instants over *buckets* equal time slices."""
     if makespan_ns <= 0:
         raise SimulationError("makespan must be positive")
     if buckets <= 0:
         raise SimulationError("need at least one bucket")
     counts = [0] * buckets
     for event in events:
-        index = min(buckets - 1, event.time_ns * buckets // makespan_ns)
+        index = min(buckets - 1, event.start_ns * buckets // makespan_ns)
         counts[index] += 1
     return counts
 
 
 def render_strip(
-    events: Iterable[SimEvent],
+    events: Iterable[Span],
     makespan_ns: int,
     *,
     buckets: int = 60,
@@ -43,7 +48,7 @@ def render_strip(
 
 
 def render_density(
-    events: Iterable[SimEvent],
+    events: Iterable[Span],
     makespan_ns: int,
     *,
     buckets: int = 60,
@@ -58,7 +63,7 @@ def render_density(
 
 
 def render_timeline(
-    log: EventLog,
+    telemetry: "Telemetry",
     makespan_ns: int,
     *,
     kinds: Optional[Sequence[str]] = None,
@@ -67,24 +72,19 @@ def render_timeline(
 ) -> str:
     """Multi-row timeline, one labelled strip per event kind.
 
-    ``kinds`` defaults to every kind present in the log, in first-seen
+    ``kinds`` defaults to every kind the run logged, in first-seen
     order.  ``density=True`` uses block levels instead of occupancy
-    marks.  A :class:`~repro.telemetry.Telemetry` handle is accepted in
-    place of *log* (its embedded event log is used).
+    marks.
     """
-    event_log = getattr(log, "event_log", None)
-    if event_log is not None:
-        log = event_log
+    by_kind: dict[str, list[Span]] = {}
+    for event in telemetry.tracer.of_track("events"):
+        by_kind.setdefault(event.name, []).append(event)
     if kinds is None:
-        seen: list[str] = []
-        for event in log:
-            if event.kind not in seen:
-                seen.append(event.kind)
-        kinds = seen
+        kinds = list(by_kind)
     label_width = max((len(k) for k in kinds), default=4)
     render = render_density if density else render_strip
     lines = []
     for kind in kinds:
-        strip = render(log.of_kind(kind), makespan_ns, buckets=buckets)
+        strip = render(by_kind.get(kind, []), makespan_ns, buckets=buckets)
         lines.append(f"{kind:<{label_width}} |{strip}|")
     return "\n".join(lines)

@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from repro import __version__
@@ -81,7 +82,6 @@ from repro.faults.profiles import (
     with_tail_model,
 )
 from repro.sim.batch import PAPER_BATCHES, batch_names
-from repro.sim.eventlog import EventLog
 from repro.trace.workloads import EXTRA_WORKLOADS, WORKLOADS
 
 
@@ -377,7 +377,7 @@ def _make_exec(args: argparse.Namespace):
     from repro.telemetry import Telemetry
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    telemetry = Telemetry(events=False)
+    telemetry = Telemetry()
 
     def progress(done: int, total: int, cell, cached: bool) -> None:
         tag = "cache" if cached else "ran"
@@ -402,33 +402,32 @@ def _print_exec_summary(args: argparse.Namespace, cache, telemetry) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """``repro run``: simulate one (batch, policy, seed) cell."""
-    config = _machine_config(args)
-    telemetry = None
-    if getattr(args, "trace_out", None):
-        from repro.telemetry import Telemetry
+    from repro.telemetry import Telemetry, export_chrome_trace, export_events_csv
 
-        telemetry = Telemetry()
-    event_log = EventLog() if args.events else None
+    config = _machine_config(args)
+    # --events and --trace-out read the same handle.
+    telemetry = Telemetry() if args.events or args.trace_out else None
     result = run_batch_policy(
         config,
         args.batch,
         args.policy,
         seed=args.seed,
         scale=args.scale,
-        event_log=event_log,
         telemetry=telemetry,
     )
     print(render_result_summary(result))
     if args.save:
         save_results(args.save, [result])
         print(f"saved to {args.save}")
-    if args.events and event_log is not None:
-        event_log.to_csv(args.events)
-        counts = ", ".join(f"{k}={v}" for k, v in sorted(event_log.counts().items()))
-        print(f"event log ({len(event_log)} events: {counts}) written to {args.events}")
-    if telemetry is not None:
-        from repro.telemetry import export_chrome_trace
-
+    if args.events:
+        export_events_csv(telemetry, args.events)
+        kinds = Counter(e.name for e in telemetry.tracer.of_track("events"))
+        counts = ", ".join(f"{k}={v}" for k, v in sorted(kinds.items()))
+        print(
+            f"event log ({sum(kinds.values())} events: {counts}) "
+            f"written to {args.events}"
+        )
+    if args.trace_out:
         export_chrome_trace(telemetry, args.trace_out)
         print(
             f"trace ({len(telemetry.tracer)} spans) written to {args.trace_out} "
@@ -459,11 +458,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     dropped = telemetry.tracer.dropped
     note = f", {dropped} dropped" if dropped else ""
     print(f"trace ({len(telemetry.tracer)} spans{note}) written to {args.out}")
-    if telemetry.event_log is not None and telemetry.event_log.dropped:
-        print(
-            f"event log overflowed: {telemetry.event_log.dropped} events dropped "
-            "(oldest first; raise event_capacity to keep them)"
-        )
     if args.format == "chrome":
         print("open in ui.perfetto.dev or chrome://tracing")
     return 0
@@ -474,7 +468,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from repro.telemetry import Telemetry, render_stats_report
 
     config = _machine_config(args)
-    telemetry = Telemetry(events=False)
+    telemetry = Telemetry()
     run_batch_policy(
         config,
         args.batch,
@@ -517,7 +511,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     config = _machine_config(args)
     if args.serve:
         config = with_serving(config, **_serving_overrides(args, rate=args.rate))
-    telemetry = Telemetry(events=False, causal=True)
+    telemetry = Telemetry(causal=True)
     result = run_batch_policy(
         config,
         args.batch,
@@ -1111,7 +1105,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
         cache = manifest.resolve_cache(args.cache_dir)
         print(_sweep_status_text(manifest, cache, args.lease_s))
         return code
-    telemetry = Telemetry(events=False)
+    telemetry = Telemetry()
     summary = run_manifest_worker(
         manifest,
         cache=manifest.resolve_cache(args.cache_dir),

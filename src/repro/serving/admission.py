@@ -11,16 +11,14 @@ do with the request given a snapshot of system load.  Four verdicts:
 * ``DEMOTE`` — admit now but at the scheduler's floor priority, keeping
   interactive traffic ahead of the shed-candidate.
 
-Policies are deliberately tiny and deterministic; observers (the
-adaptive controller, tests, telemetry) can subscribe to every decision
-via :meth:`AdmissionPolicy.subscribe`.
+Policies are deliberately tiny and deterministic.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict
 
 from repro.common.config import ServingConfig
 from repro.common.errors import ConfigError
@@ -48,9 +46,6 @@ class AdmissionView:
     in_system: int
 
 
-Observer = Callable[[Request, AdmissionView, Decision], None]
-
-
 class AdmissionPolicy:
     """Base policy: admit everything; subclasses override :meth:`judge`."""
 
@@ -58,21 +53,13 @@ class AdmissionPolicy:
 
     def __init__(self, queue_cap: int = 0) -> None:
         self.queue_cap = queue_cap
-        self._observers: List[Observer] = []
-
-    def subscribe(self, observer: Observer) -> None:
-        """Register a callback fired after every decision."""
-        self._observers.append(observer)
 
     def decide(self, request: Request, view: AdmissionView) -> Decision:
-        """Judge the request and notify observers."""
-        decision = self.judge(request, view)
-        for observer in self._observers:
-            observer(request, view, decision)
-        return decision
+        """The simulator's entry point: judge one (re-)arrival."""
+        return self.judge(request, view)
 
     def judge(self, request: Request, view: AdmissionView) -> Decision:
-        """The verdict itself (no observer side effects)."""
+        """The verdict itself; subclasses override this."""
         return Decision.ADMIT
 
     @property

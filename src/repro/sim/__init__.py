@@ -4,7 +4,6 @@ from repro.sim.metrics import IdleBreakdown, ProcessRecord, SimulationResult
 from repro.sim.machine import CoreState, Machine, SMPMachine
 from repro.sim.simulator import Simulation, WorkloadInstance
 from repro.sim.batch import PAPER_BATCHES, BatchSpec, build_batch, batch_names
-from repro.sim.eventlog import EventLog, SimEvent
 
 __all__ = [
     "IdleBreakdown",
@@ -19,6 +18,4 @@ __all__ = [
     "BatchSpec",
     "build_batch",
     "batch_names",
-    "EventLog",
-    "SimEvent",
 ]

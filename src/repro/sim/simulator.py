@@ -178,7 +178,6 @@ class Simulation:
         policy,
         *,
         batch_name: str = "custom",
-        event_log=None,
         telemetry: Optional["Telemetry"] = None,
         requests: Optional[Sequence[Request]] = None,
     ) -> None:
@@ -192,11 +191,6 @@ class Simulation:
         self.policy = policy
         self.batch_name = batch_name
         self.telemetry = telemetry
-        if telemetry is not None and event_log is None:
-            # The telemetry handle owns the event log (adapter path); a
-            # directly attached log still wins for backward compatibility.
-            event_log = telemetry.event_log
-        self.event_log = event_log
 
         self.processes: list[Process] = [
             Process(
@@ -291,12 +285,10 @@ class Simulation:
             else policy.on_instruction_complete
         )
         # Shapes that commit one record per step: SMP cores interleave
-        # per record; an observer sees every record's events; any other
-        # instruction hook could observe every record.
+        # per record; any other instruction hook could observe every
+        # record.
         self._per_record = (
             self._smp
-            or telemetry is not None
-            or event_log is not None
             or hook not in (
                 IOPolicy.on_instruction_complete,
                 SyncRunaheadPolicy.on_instruction_complete,
@@ -311,8 +303,7 @@ class Simulation:
 
         A single-core run commits records in windows
         (:meth:`_run_window`) unless its shape needs one record per step
-        (``_per_record``: SMP, an attached telemetry handle or event log,
-        an unknown instruction hook).
+        (``_per_record``: SMP, an unknown instruction hook).
         """
         if self._smp:
             return self._run_smp()
@@ -574,9 +565,9 @@ class Simulation:
 
         Local mirrors of the hot state (clock, pc, slice, stat counters)
         are flushed back at every externally observable point — event
-        firing, policy hooks, fault paths, window exit — so code outside
-        this method sees the state the per-record path would have left
-        at the same virtual instant.
+        firing, logged events, policy hooks, fault paths, window exit —
+        so code outside this method sees the state the per-record path
+        would have left at the same virtual instant.
         """
         process = self.scheduler.current
         if process is None:  # the fault handler may have blocked it
@@ -643,6 +634,7 @@ class Simulation:
         page_cache = self._page_cache
         page_cache_get = page_cache.get
         hook = self._hook
+        telemetry = self.telemetry
 
         now = machine.now_ns
         pc = process.pc
@@ -856,6 +848,11 @@ class Simulation:
                 slice_left = process.slice_remaining_ns
                 resume_pending = resume_preempts()
                 last_v = -1
+            if minor and telemetry is not None:
+                # Logged where the per-record step logs it: after due
+                # events fire, before the instruction hook.
+                flush()
+                self.log_event("minor_fault", pid)
             if hook is not None and stall > 0:
                 flush()
                 hook(
@@ -909,8 +906,6 @@ class Simulation:
         first_attempt = request.deferrals == 0 and request.enqueue_ns is None
         if first_attempt:
             self.log_event("request_arrival", pid)
-            if self.telemetry is not None:
-                self.telemetry.counter("serving.arrivals").inc()
 
         assert self._admission is not None
         view = AdmissionView(now_ns=now, in_system=self._serving_load())
@@ -923,24 +918,18 @@ class Simulation:
                 self._on_arrival, payload=pid,
             )
             self.log_event("request_defer", pid)
-            if self.telemetry is not None:
-                self.telemetry.counter("serving.deferred").inc()
             return
 
         self._arrivals_outstanding -= 1
         if decision is Decision.DROP:
             request.outcome = OUTCOME_DROPPED
             self.log_event("request_drop", pid)
-            if self.telemetry is not None:
-                self.telemetry.counter("serving.dropped").inc()
             return
 
         if decision is Decision.DEMOTE:
             request.demoted = True
             process.priority = 0
             self.log_event("request_demote", pid)
-            if self.telemetry is not None:
-                self.telemetry.counter("serving.demoted").inc()
 
         request.outcome = OUTCOME_ADMITTED
         request.enqueue_ns = now
@@ -949,8 +938,6 @@ class Simulation:
         # core's clock; the request was ready at its arrival instant.
         process.ready_since_ns = now
         self.log_event("request_admit", pid)
-        if self.telemetry is not None:
-            self.telemetry.counter("serving.admitted").inc()
         if self._causal is not None:
             node = self._causal.add("request_arrival", now, pid=pid)
             self._causal.note_unblock(pid, node)
@@ -962,16 +949,12 @@ class Simulation:
         request.finish_ns = now
         request.outcome = OUTCOME_COMPLETED
         self.log_event("request_done", pid)
-        missed = now > request.deadline_ns
-        if missed:
+        if now > request.deadline_ns:
             self.log_event("deadline_miss", pid)
         if self.telemetry is not None:
-            self.telemetry.counter("serving.completed").inc()
             latency = request.latency_ns
             assert latency is not None
             self.telemetry.histogram("serving.latency_ns").observe(latency)
-            if missed:
-                self.telemetry.counter("serving.deadline_miss").inc()
             self.telemetry.record_span(
                 "serving.request", request.arrival_ns, now,
                 track="serving", pid=pid,
@@ -992,14 +975,10 @@ class Simulation:
     def log_event(
         self, kind: str, pid: Optional[int] = None, vpn: Optional[int] = None
     ) -> None:
-        """Record an event if a log is attached (cheap no-op otherwise).
-
-        With a telemetry handle attached, the event is also mirrored
-        into the metric registry (``events.<kind>`` counters) and the
-        span tracer (as an instant on the ``events`` track).
+        """Record an event on the attached telemetry handle (an
+        ``events.<kind>`` counter and one instant on the ``events``
+        track; see :meth:`Telemetry.on_event`).  A no-op when detached.
         """
-        if self.event_log is not None:
-            self.event_log.record(self.machine.now_ns, kind, pid, vpn)
         if self.telemetry is not None:
             self.telemetry.on_event(self.machine.now_ns, kind, pid, vpn)
 

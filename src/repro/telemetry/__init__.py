@@ -4,13 +4,16 @@ The telemetry subsystem answers *where the virtual nanoseconds go*
 inside a run: per-phase fault spans (selection -> checkpoint ->
 prefetch walk -> runahead -> restore), fixed-bucket latency histograms
 with p50/p95/p99, and event counters — exported as Chrome/Perfetto
-``trace_event`` JSON, JSONL streams, or a plain-text stats report.
+``trace_event`` JSON, JSONL streams, an event CSV, or a plain-text
+stats report.
 
-Three layers:
+Its modules:
 
 * :mod:`repro.telemetry.registry` — counters, gauges and histograms
   under hierarchical dotted names;
-* :mod:`repro.telemetry.spans` — the span tracer on the virtual clock;
+* :mod:`repro.telemetry.spans` — the span tracer on the virtual clock,
+  which also holds the run's event stream (one instant per simulator
+  event on the ``events`` track);
 * :mod:`repro.telemetry.ledger` — the time-attribution ledger (every
   nanosecond on every core in exactly one of twelve categories, with a
   conservation audit; each machine owns one);
@@ -18,18 +21,18 @@ Three layers:
   fault lifecycles, critical-path and steal-payoff analysis);
 * :mod:`repro.telemetry.exporters` — the output formats.
 
-:class:`Telemetry` bundles all three (plus the legacy
-:class:`~repro.sim.eventlog.EventLog`, which it routes through so
-existing timeline tooling keeps working) behind the single optional
-handle that ``Simulation(..., telemetry=...)`` threads through every
-instrumented component.  See ``docs/TELEMETRY.md`` for the span naming
-convention and a Perfetto walkthrough.
+:class:`Telemetry` bundles the registry, the tracer and the optional
+causal graph behind the single optional handle that
+``Simulation(..., telemetry=...)`` threads through every instrumented
+component.  See ``docs/TELEMETRY.md`` for the span naming convention
+and a Perfetto walkthrough.
 """
 
 from repro.telemetry.causal import CausalGraph, CausalNode, render_path_report
 from repro.telemetry.exporters import (
     chrome_trace_dict,
     export_chrome_trace,
+    export_events_csv,
     export_jsonl,
     render_span_table,
     render_stats_report,
@@ -67,6 +70,7 @@ __all__ = [
     "render_path_report",
     "chrome_trace_dict",
     "export_chrome_trace",
+    "export_events_csv",
     "export_jsonl",
     "render_span_table",
     "render_stats_report",

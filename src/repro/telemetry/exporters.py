@@ -1,6 +1,6 @@
-"""Telemetry exporters: Chrome/Perfetto trace JSON, JSONL, plain text.
+"""Telemetry exporters: Chrome/Perfetto trace JSON, JSONL, CSV, text.
 
-Three consumers, three formats:
+Four consumers, four formats:
 
 * :func:`export_chrome_trace` writes the Chrome ``trace_event`` JSON
   object format — load it at https://ui.perfetto.dev (or
@@ -11,6 +11,9 @@ Three consumers, three formats:
 * :func:`export_jsonl` streams one JSON object per line (spans, then
   instants, then a final metrics snapshot) for ad-hoc ``jq``/pandas
   processing.
+* :func:`export_events_csv` writes the run's event stream (the
+  ``events``-track instants) as ``time_ns,kind,pid,vpn`` CSV — the
+  ``repro run --events`` file.
 * :func:`render_stats_report` renders the registry plus a per-span-name
   latency table (count, total, p50/p95/p99) as aligned plain text — the
   ``repro stats`` output.
@@ -18,14 +21,29 @@ Three consumers, three formats:
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import IO, Optional, Sequence, TYPE_CHECKING
 
+from repro.common.errors import ReproError
 from repro.telemetry.spans import Span, SpanTracer
 
 if TYPE_CHECKING:
     from repro.telemetry.handle import Telemetry
+
+
+def _create(path: Path, newline: Optional[str] = None) -> IO[str]:
+    """Open *path* for writing, creating missing parent directories.
+
+    An unwritable path raises :class:`ReproError` naming it, so the CLI
+    exits with one ``error:`` line instead of a traceback.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ReproError(f"cannot write {path}: {exc}") from exc
 
 
 def _track_ids(spans: Sequence[Span]) -> dict[str, int]:
@@ -117,8 +135,7 @@ def export_chrome_trace(
 ) -> Path:
     """Write the Chrome/Perfetto trace JSON to *path*; returns the path."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
+    with _create(path) as f:
         json.dump(chrome_trace_dict(telemetry, process_name=process_name), f)
     return path
 
@@ -126,8 +143,7 @@ def export_chrome_trace(
 def export_jsonl(telemetry: "Telemetry", path: str | Path) -> Path:
     """Write spans, instants and a metrics snapshot as JSON lines."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
+    with _create(path) as f:
         for span in telemetry.tracer:
             record: dict = {
                 "type": "instant" if span.is_instant else "span",
@@ -146,6 +162,32 @@ def export_jsonl(telemetry: "Telemetry", path: str | Path) -> Path:
             json.dumps({"type": "metrics", "metrics": telemetry.registry.snapshot()})
             + "\n"
         )
+    return path
+
+
+def export_events_csv(telemetry: "Telemetry", path: str | Path) -> Path:
+    """Write the run's event stream as ``time_ns,kind,pid,vpn`` CSV.
+
+    One row per ``events``-track instant, in recording order; ``pid``
+    and ``vpn`` are empty where the event has none.  The first line is
+    a ``# dropped=N`` comment with the tracer's drop count: events share
+    the tracer's ring with spans, so a non-zero N means the file is a
+    suffix of the run rather than the whole of it.
+    """
+    path = Path(path)
+    with _create(path, newline="") as f:
+        f.write(f"# dropped={telemetry.tracer.dropped}\n")
+        writer = csv.writer(f)
+        writer.writerow(["time_ns", "kind", "pid", "vpn"])
+        for event in telemetry.tracer.of_track("events"):
+            writer.writerow(
+                [
+                    event.start_ns,
+                    event.name,
+                    "" if event.pid is None else event.pid,
+                    (event.args or {}).get("vpn", ""),
+                ]
+            )
     return path
 
 

@@ -1,12 +1,12 @@
 """The ``Telemetry`` handle: one object threaded through a run.
 
-Bundles the three telemetry primitives — a
-:class:`~repro.telemetry.registry.MetricRegistry`, a
-:class:`~repro.telemetry.spans.SpanTracer`, and (by default) a
-:class:`~repro.sim.eventlog.EventLog` — behind a single handle that
+Bundles the telemetry primitives — a
+:class:`~repro.telemetry.registry.MetricRegistry` and a
+:class:`~repro.telemetry.spans.SpanTracer` — behind a single handle that
 :class:`~repro.sim.simulator.Simulation` and the machine components
 accept as an optional argument.  Attach one to get counters, latency
-histograms, spans and the legacy event log from a single run::
+histograms, spans and the run's event stream (one instant per
+simulator event on the tracer's ``events`` track)::
 
     from repro.telemetry import Telemetry, export_chrome_trace
 
@@ -16,13 +16,12 @@ histograms, spans and the legacy event log from a single run::
     print(telemetry.registry.render_report())
 
 Detached (``telemetry=None``) is the zero-cost mode: every instrumented
-site guards with a single ``None`` check, the same discipline the event
-log has always used.
+site guards with a single ``None`` check.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.telemetry.causal import CausalGraph
 from repro.telemetry.registry import (
@@ -34,23 +33,20 @@ from repro.telemetry.registry import (
 )
 from repro.telemetry.spans import SpanTracer
 
-if TYPE_CHECKING:
-    from repro.sim.eventlog import EventLog
-
 _CORE_TRACKS = frozenset({"cpu", "its"})
 """Tracks that are core-local under SMP (``dma`` is a shared controller
 and ``events`` is the run-wide marker lane; both stay unsplit)."""
 
 
 class Telemetry:
-    """Registry + span tracer + event log, under one optional handle.
+    """Registry + span tracer, under one optional handle.
 
-    ``events=False`` drops the embedded event log (spans and metrics
-    only); ``event_capacity``/``span_capacity`` bound memory use on long
-    runs exactly like :class:`~repro.sim.eventlog.EventLog` does.
-    ``causal=True`` attaches a :class:`~repro.telemetry.causal
-    .CausalGraph` (parent-linked fault lifecycles); it defaults off so
-    an ordinary telemetry run's output is unchanged.
+    ``span_capacity`` bounds the tracer's ring, which holds spans and
+    event instants alike (the oldest are dropped first and counted in
+    ``tracer.dropped``).  ``causal=True`` attaches a
+    :class:`~repro.telemetry.causal.CausalGraph` (parent-linked fault
+    lifecycles); it defaults off so an ordinary telemetry run's output
+    is unchanged.
 
     ``ledger`` is accepted and ignored.  The time ledger is not a
     telemetry rider: every machine owns one (``machine.ledger``) and
@@ -64,24 +60,14 @@ class Telemetry:
         *,
         registry: Optional[MetricRegistry] = None,
         tracer: Optional[SpanTracer] = None,
-        events: bool = True,
         ledger: bool = False,
         causal: bool = False,
-        event_capacity: int = 100_000,
         span_capacity: int = 1_000_000,
     ) -> None:
         self.registry = registry if registry is not None else MetricRegistry()
         self.tracer = tracer if tracer is not None else SpanTracer(span_capacity)
         self.causal: Optional[CausalGraph] = CausalGraph() if causal else None
         self._core_of: Optional[Callable[[], int]] = None
-        self.event_log: Optional["EventLog"] = None
-        if events:
-            # Imported lazily: the telemetry package must stay importable
-            # without repro.sim (hot modules import repro.telemetry.registry
-            # at module scope, and repro.sim imports those hot modules).
-            from repro.sim.eventlog import EventLog
-
-            self.event_log = EventLog(event_capacity)
 
     # -- clock binding -------------------------------------------------------
 
@@ -166,7 +152,7 @@ class Telemetry:
             name, track=self._resolve_track(track), pid=pid, args=args
         )
 
-    # -- event-log adapter ---------------------------------------------------
+    # -- the event stream ----------------------------------------------------
 
     def on_event(
         self,
@@ -175,11 +161,12 @@ class Telemetry:
         pid: Optional[int] = None,
         vpn: Optional[int] = None,
     ) -> None:
-        """Mirror one simulator event into the registry and tracer.
+        """Record one simulator event (:meth:`Simulation.log_event`).
 
-        Called by :meth:`Simulation.log_event` *in addition to* the
-        event-log write, so the legacy CSV/timeline surface and the
-        telemetry surface stay consistent without double-recording.
+        Bumps the ``events.<kind>`` counter and appends one instant on
+        the ``events`` track, the run's only event record: the
+        ``--events`` CSV (:func:`~repro.telemetry.exporters
+        .export_events_csv`) and the ASCII timelines read it back.
         """
         self.registry.counter(f"events.{kind}").inc()
         args = None if vpn is None else {"vpn": vpn}

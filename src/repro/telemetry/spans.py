@@ -12,9 +12,11 @@ zero-width marker.  Spans can be recorded two ways:
   reads the bound virtual clock at entry and exit — the natural fit for
   code whose duration emerges from the clock advancing inside the block.
 
-The tracer is a bounded ring buffer like
-:class:`~repro.sim.eventlog.EventLog`: long runs overwrite the oldest
-spans and count them in :attr:`SpanTracer.dropped`.  Telemetry-aware
+The tracer is a bounded ring buffer: long runs overwrite the oldest
+spans and count them in :attr:`SpanTracer.dropped`.  It is also the
+run's event record: :meth:`~repro.telemetry.handle.Telemetry.on_event`
+appends one instant per simulator event on the ``events`` track, which
+:meth:`SpanTracer.of_track` reads back.  Telemetry-aware
 call sites hold an ``Optional[Telemetry]`` and skip everything on
 ``None`` — a detached run pays one pointer comparison per site.
 """
@@ -155,6 +157,10 @@ class SpanTracer:
     def of_name(self, name: str) -> list[Span]:
         """All spans with exactly this name, in recording order."""
         return [s for s in self if s.name == name]
+
+    def of_track(self, track: str) -> list[Span]:
+        """All spans and instants on *track*, in recording order."""
+        return [s for s in self if s.track == track]
 
     def of_prefix(self, prefix: str) -> list[Span]:
         """All spans whose name starts with *prefix*."""

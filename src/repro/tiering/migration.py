@@ -120,7 +120,7 @@ class MigrationEngine:
                 causal.add(
                     "tier_migrate", now_ns,
                     pid=pid, vpn=vpn, parent=causal.parent,
-                    kind=kind, src=src.spec.name, dst=dst.spec.name,
+                    direction=kind, src=src.spec.name, dst=dst.spec.name,
                 )
 
     def _coldest_on(

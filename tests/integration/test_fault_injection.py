@@ -76,7 +76,7 @@ class TestFaultyRunsDeterministic:
 
 class TestTelemetrySurface:
     def test_tail_profile_injects_and_demotes(self):
-        telemetry = Telemetry(events=False)
+        telemetry = Telemetry()
         config = with_fault_profile(MachineConfig(), "tail_bimodal")
         run_batch_policy(
             config, BATCH, "ITS", seed=SEED, scale=SCALE, telemetry=telemetry
@@ -85,7 +85,7 @@ class TestTelemetrySurface:
         assert telemetry.counter("its.demote.count").value > 0
 
     def test_flaky_profile_retries(self):
-        telemetry = Telemetry(events=False)
+        telemetry = Telemetry()
         config = with_fault_profile(MachineConfig(), "flaky_dma")
         run_batch_policy(
             config, BATCH, "ITS", seed=SEED, scale=SCALE, telemetry=telemetry
@@ -99,7 +99,7 @@ class TestTelemetrySurface:
         assert telemetry.counter("io.retry.attempts").value > 0
 
     def test_clean_run_emits_no_fault_telemetry(self):
-        telemetry = Telemetry(events=False)
+        telemetry = Telemetry()
         run_batch_policy(
             MachineConfig(), BATCH, "ITS", seed=SEED, scale=SCALE, telemetry=telemetry
         )

@@ -70,7 +70,7 @@ def test_ledger_conservation_across_policies_and_cores(policy_name, cores):
 @pytest.mark.parametrize("policy_name", PAPER_POLICIES)
 def test_observability_does_not_perturb_results(policy_name):
     bare = _run(policy_name)
-    telemetry = Telemetry(events=False, causal=True)
+    telemetry = Telemetry(causal=True)
     observed = _run(policy_name, telemetry=telemetry)
     assert bare.makespan_ns == observed.makespan_ns
     assert bare.major_faults == observed.major_faults
@@ -81,7 +81,7 @@ def test_observability_does_not_perturb_results(policy_name):
 @pytest.mark.parametrize("policy_name", ["ITS", "Adaptive", "Async"])
 @pytest.mark.parametrize("cores", [1, 2])
 def test_causal_graph_acyclic_and_complete(policy_name, cores):
-    telemetry = Telemetry(events=False, causal=True)
+    telemetry = Telemetry(causal=True)
     result = _run(policy_name, cores=cores, telemetry=telemetry)
     graph = telemetry.causal
     graph.check_acyclic()
@@ -95,7 +95,7 @@ def test_causal_graph_acyclic_and_complete(policy_name, cores):
 
 
 def test_causal_steal_windows_classified_on_its():
-    telemetry = Telemetry(events=False, causal=True)
+    telemetry = Telemetry(causal=True)
     _run("ITS", telemetry=telemetry)
     windows = telemetry.causal.steal_windows()
     assert windows, "an ITS run must record stolen windows"
@@ -160,7 +160,7 @@ class TestSMPSpanTiling:
         # but no ``fault.its`` parent, which would break the identity.
         config = with_cores(MachineConfig(), 2)
         batch = build_batch(BATCH, seed=SEED, scale=SCALE, config=config)
-        telemetry = Telemetry(events=False)
+        telemetry = Telemetry()
         Simulation(
             config, batch, ITSPolicy(self_sacrifice=False), telemetry=telemetry
         ).run()
@@ -190,7 +190,7 @@ class TestSMPSpanTiling:
 
 
 def test_ledger_gauges_published():
-    telemetry = Telemetry(events=False)
+    telemetry = Telemetry()
     _run("ITS", telemetry=telemetry)
     snap = telemetry.registry.snapshot()
     for category in LEDGER_CATEGORIES:

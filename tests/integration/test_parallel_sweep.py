@@ -39,7 +39,7 @@ class TestWorkerCountInvariance:
 class TestResumability:
     def test_second_run_is_all_cache_hits(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cold_t = Telemetry(events=False)
+        cold_t = Telemetry()
         cold = sweep_device_latency(
             LATENCIES, workers=4, cache=cache, telemetry=cold_t, **FAST
         )
@@ -47,7 +47,7 @@ class TestResumability:
         assert cold_t.counter("runner.cache.miss").value == expected_cells
         assert cold_t.counter("runner.cache.hit").value == 0
 
-        warm_t = Telemetry(events=False)
+        warm_t = Telemetry()
         warm = sweep_device_latency(
             LATENCIES, workers=4, cache=cache, telemetry=warm_t, **FAST
         )
@@ -61,7 +61,7 @@ class TestResumability:
         """Cells cached by a partial run are reused by the full run."""
         cache = ResultCache(tmp_path)
         sweep_device_latency(LATENCIES[:1], cache=cache, **FAST)  # "interrupted"
-        telemetry = Telemetry(events=False)
+        telemetry = Telemetry()
         sweep_device_latency(LATENCIES, cache=cache, telemetry=telemetry, **FAST)
         assert telemetry.counter("runner.cache.hit").value == len(FAST["policies"])
         assert telemetry.counter("runner.cache.miss").value == len(FAST["policies"])

@@ -34,6 +34,7 @@ from repro.common.config import (
     with_serving,
 )
 from repro.serving.request import OUTCOME_COMPLETED, OUTCOME_DROPPED
+from repro.telemetry import Telemetry
 
 BATCH = "1_Data_Intensive"
 SCALE = 0.1
@@ -198,6 +199,32 @@ class TestAdmissionUnderLoad:
         assert demoted
         # Demoted requests entered the queue immediately (no deferrals).
         assert all(r.deferrals == 0 for r in demoted)
+
+
+    @pytest.mark.parametrize("admission", ["drop", "defer", "demote"])
+    def test_event_counters_match_the_summary(self, admission):
+        telemetry = Telemetry()
+        config = serve_config(admission=admission, queue_cap=2)
+        summary = run_batch_policy(
+            config, BATCH, "Sync", seed=1, scale=SCALE, telemetry=telemetry
+        ).serving
+        snap = telemetry.registry.snapshot()
+
+        def events(kind):
+            return snap.get(f"events.{kind}", 0)
+
+        assert summary.dropped + summary.deferrals + summary.demoted > 0
+        assert events("request_arrival") == summary.arrivals
+        assert events("request_done") == summary.completed
+        assert events("request_drop") == summary.dropped
+        assert events("request_demote") == summary.demoted
+        assert events("request_defer") == summary.deferrals
+        assert events("request_admit") == summary.arrivals - summary.dropped
+        assert events("deadline_miss") == sum(
+            1
+            for r in summary.requests
+            if r.outcome == OUTCOME_COMPLETED and r.deadline_missed
+        )
 
 
 class TestServingOnSMP:

@@ -163,7 +163,7 @@ def test_sigkill_mid_grid_resume_is_bit_identical(tmp_path):
     # Zero recomputation, proof 2 + bit-identical results: assembling
     # the grid through the queue executor is pure cache hits and equals
     # the serial baseline exactly.
-    telemetry = Telemetry(events=False)
+    telemetry = Telemetry()
     resumed = run_cells(
         cells, cache=cache, executor="queue", telemetry=telemetry
     )

@@ -7,6 +7,7 @@ with the simulator's own accounting.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -91,12 +92,21 @@ class TestITSFaultPhases:
         assert snap["idle.total_ns"] == result.total_idle_ns
         assert snap["overhead.handler_ns"] == result.idle.total_overhead_ns
 
-    def test_event_log_and_counters_agree(self, run):
-        _config, _result, telemetry = run
-        log_counts = telemetry.event_log.counts()
+    def test_event_instants_and_counters_agree(self, run):
+        # Nothing dropped, so the events-track instants and the
+        # events.* counters are two views of the same stream.
+        _config, result, telemetry = run
+        assert telemetry.tracer.dropped == 0
+        log_counts = Counter(e.name for e in telemetry.tracer.of_track("events"))
         snap = telemetry.registry.snapshot()
-        for kind, count in log_counts.items():
-            assert snap[f"events.{kind}"] == count
+        counters = {
+            name[len("events."):]: value
+            for name, value in snap.items()
+            if name.startswith("events.")
+        }
+        assert counters == dict(log_counts)
+        assert log_counts["major_fault"] == result.major_faults
+        assert log_counts["minor_fault"] == result.minor_faults
 
 
 def test_run_batch_instrumented_exports_loadable_trace(tmp_path):

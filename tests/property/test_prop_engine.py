@@ -6,9 +6,11 @@ commits fault-free stretches in windows, must produce the same
 serialised ``SimulationResult`` as the per-record reference path
 (``Simulation._run_per_record``) — not just the same headline numbers,
 the whole payload (per-process stats, idle breakdown, cache counters,
-tier summary).  This is the windows' one contract (docs/MODEL.md, "How
-a run commits records"); everything else about them is an
-implementation detail.
+tier summary).  An observed run (a ``Telemetry(causal=True)`` handle
+attached) also commits in windows, and must record the same span and
+event stream, metric snapshot and causal graph as the per-record path.
+This is the windows' one contract (docs/MODEL.md, "How a run commits
+records"); everything else about them is an implementation detail.
 """
 
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from repro.common.units import KIB, US
 from repro.cpu.isa import Branch, Compute, Load, Store
 from repro.faults.profiles import with_fault_profile
 from repro.sim.simulator import Simulation, WorkloadInstance
+from repro.telemetry import Telemetry
 from repro.tiering import with_tier_presets
 
 
@@ -114,19 +117,27 @@ def tier_setups(draw):
     return names, placement, draw(st.sampled_from(thresholds))
 
 
-@given(workload_sets(), policy_names, profile_names, tier_setups())
+@given(
+    workload_sets(), policy_names, profile_names, tier_setups(), st.booleans()
+)
 @settings(max_examples=100, deadline=None)
-def test_fast_engine_bit_identical(workloads, policy_name, profile, tiers):
+def test_fast_engine_bit_identical(workloads, policy_name, profile, tiers, observed):
     def build():
         return Simulation(
             tiny_config(profile, tiers),
             workloads,
             POLICY_FACTORIES[policy_name](),
             batch_name="prop",
+            telemetry=Telemetry(causal=True) if observed else None,
         )
 
-    windowed = build()
+    windowed, oracle = build(), build()
     assert not windowed._per_record
     assert result_to_dict(windowed.run()) == result_to_dict(
-        build()._run_per_record()
+        oracle._run_per_record()
     )
+    if observed:
+        seen, expected = windowed.telemetry, oracle.telemetry
+        assert list(seen.tracer) == list(expected.tracer)
+        assert seen.registry.snapshot() == expected.registry.snapshot()
+        assert seen.causal.nodes == expected.causal.nodes

@@ -83,7 +83,7 @@ class TestFootnote5_PageOnPageUnit:
         # A fault on the unit's LAST page must prefetch the unit's
         # earlier pages (aligned grouping), not the following ones
         # (which a sliding window would).
-        from repro.sim.eventlog import EventLog
+        from repro.telemetry import Telemetry
 
         policy = SyncPrefetchPolicy(unit_pages=4)
         base_vpn = 0x90_0000 >> 12
@@ -92,7 +92,7 @@ class TestFootnote5_PageOnPageUnit:
             # Touch the last page of the first unit, then nothing else.
             *make_linear_trace(1, base_va=0x90_0000 + 3 * 4096)
         ]
-        log = EventLog()
+        telemetry = Telemetry()
         workloads = [
             WorkloadInstance(
                 name="w",
@@ -102,9 +102,13 @@ class TestFootnote5_PageOnPageUnit:
             )
         ]
         Simulation(
-            small_config, workloads, policy, batch_name="unit", event_log=log
+            small_config, workloads, policy, batch_name="unit", telemetry=telemetry
         ).run()
-        issued = {e.vpn for e in log.of_kind("prefetch_issue")}
+        issued = {
+            e.args["vpn"]
+            for e in telemetry.tracer.of_track("events")
+            if e.name == "prefetch_issue"
+        }
         # The aligned unit's other members were fetched; nothing beyond.
         assert issued == {base_vpn, base_vpn + 1, base_vpn + 2}
 

@@ -307,7 +307,7 @@ class TestController:
     def test_decision_counters_mirror_python_tallies(self):
         from repro.telemetry import Telemetry
 
-        telemetry = Telemetry(events=False)
+        telemetry = Telemetry()
         ctrl = make_controller(
             AdaptiveConfig(warmup_faults=2), telemetry=telemetry
         )

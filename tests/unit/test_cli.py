@@ -418,6 +418,43 @@ class TestTelemetryCommands:
         assert out.exists()
         assert "trace (" in capsys.readouterr().out
 
+    def test_run_events_csv_shares_the_trace_handle(self, capsys, tmp_path):
+        import json
+
+        events = tmp_path / "new" / "x.csv"  # the directory does not exist
+        trace = tmp_path / "t.json"
+        code = main(
+            ["run", "--policy", "ITS", "--scale", "0.1",
+             "--events", str(events), "--trace-out", str(trace)]
+        )
+        assert code == 0
+        lines = events.read_text().splitlines()
+        assert lines[:2] == ["# dropped=0", "time_ns,kind,pid,vpn"]
+        metrics = json.loads(trace.read_text())["otherData"]["metrics"]
+        logged = sum(v for k, v in metrics.items() if k.startswith("events."))
+        assert len(lines) - 2 == logged > 0
+        out = capsys.readouterr().out
+        assert f"event log ({logged} events: " in out
+        assert "trace (" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["trace", "--out"], ["run", "--events"], ["run", "--trace-out"]],
+        ids=["trace-out", "run-events", "run-trace-out"],
+    )
+    def test_unwritable_output_is_a_clean_error(self, capsys, tmp_path, argv):
+        blocker = tmp_path / "regular-file"
+        blocker.write_text("")
+        target = blocker / "x.out"
+        code = main(
+            [argv[0], "--policy", "Sync", "--batch", "No_Data_Intensive",
+             "--scale", "0.1", argv[1], str(target)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write")
+        assert str(target) in err and "Traceback" not in err
+
 
 class TestTraceStats:
     SAMPLE = str(

@@ -25,7 +25,6 @@ from repro.common.config import (
 )
 from repro.common.units import KIB, US
 from repro.cpu.isa import Branch, Compute, Load, Store
-from repro.sim.eventlog import EventLog
 from repro.sim.simulator import (
     _COMPUTE,
     _LOAD,
@@ -63,11 +62,12 @@ def store(page, offset=0):
     return Store(src=1, vaddr=0x40_0000 + page * PAGE + offset)
 
 
-def run_both(traces, policy="Sync", config=None, priorities=None):
+def run_both(traces, policy="Sync", config=None, priorities=None, observed=False):
     """Build two identical simulations of the same workloads.
 
     The first is run per record, the second windowed; the deep-equality
-    helper below runs both and compares them.
+    helper below runs both and compares them.  ``observed`` attaches a
+    ``Telemetry(causal=True)`` handle to each.
     """
     if config is None:
         config = tiny_config()
@@ -82,7 +82,10 @@ def run_both(traces, policy="Sync", config=None, priorities=None):
             )
             for i, trace in enumerate(traces)
         ]
-        return Simulation(config, workloads, factory(), batch_name="t")
+        telemetry = Telemetry(causal=True) if observed else None
+        return Simulation(
+            config, workloads, factory(), batch_name="t", telemetry=telemetry
+        )
 
     oracle, windowed = build(), build()
     assert not windowed._per_record
@@ -132,6 +135,17 @@ class TestBuildColumns:
         assert list(columns.next_mem) == [1, 1, 3, 3, 5, 5]
 
 
+def watcher():
+    """A Sync policy with an instruction hook the windows do not know."""
+    from repro.baselines.sync_io import SyncIOPolicy
+
+    class Watcher(SyncIOPolicy):
+        def on_instruction_complete(self, sim, process, instr, step):
+            pass
+
+    return Watcher()
+
+
 class TestForceReference:
     """Shapes that need one record per step must take the per-record
     reference path for the whole run."""
@@ -158,25 +172,20 @@ class TestForceReference:
     def test_smp_forces_reference(self):
         assert self.build(with_cores(tiny_config(), 2))._per_record
 
-    def test_observers_force_reference(self):
-        assert self.build(telemetry=Telemetry())._per_record
-        assert self.build(event_log=EventLog())._per_record
+    def test_observers_keep_windows(self):
+        # A telemetry handle sees nothing a window cannot emit.
+        assert not self.build(telemetry=Telemetry())._per_record
+        assert not self.build(telemetry=Telemetry(causal=True))._per_record
 
     def test_unknown_instruction_hook_forces_reference(self):
-        from repro.baselines.sync_io import SyncIOPolicy
-
-        class Watcher(SyncIOPolicy):
-            def on_instruction_complete(self, sim, process, instr, step):
-                pass
-
-        assert self.build(policy=Watcher())._per_record
+        assert self.build(policy=watcher())._per_record
 
     def test_forced_reference_still_bit_identical(self):
-        # An attached event log forces the per-record path; the result
-        # must match the windowed run of the same workloads.
-        observed = self.build(event_log=EventLog())
-        assert observed._per_record
-        assert result_to_dict(observed.run()) == result_to_dict(self.build().run())
+        # An unknown instruction hook forces the per-record path; the
+        # result must match the windowed run of the same workloads.
+        forced = self.build(policy=watcher())
+        assert forced._per_record
+        assert result_to_dict(forced.run()) == result_to_dict(self.build().run())
 
 
 class TestBatchBoundaries:
@@ -249,3 +258,25 @@ class TestBatchBoundaries:
         assert_bit_identical(
             *run_both(traces, policy=policy, priorities=[30, 10, 20])
         )
+
+
+class TestObservedWindows:
+    """An attached handle keeps the windows and records the stream the
+    per-record path records."""
+
+    @pytest.mark.parametrize("policy", list(POLICY_FACTORIES))
+    def test_same_stream_as_per_record(self, policy):
+        # Re-touching a spilled page set under a prefetching policy
+        # lands minor faults inside windows.
+        traces = [
+            [load(p) for p in range(16)] * 2,
+            [store(p + 4, offset=64) for p in range(8)] * 3,
+        ]
+        oracle, windowed = run_both(traces, policy=policy, observed=True)
+        result = assert_bit_identical(oracle, windowed)
+        seen, expected = windowed.telemetry, oracle.telemetry
+        assert list(seen.tracer) == list(expected.tracer)
+        assert seen.registry.snapshot() == expected.registry.snapshot()
+        assert seen.causal.nodes == expected.causal.nodes
+        minors = seen.tracer.of_name("minor_fault")
+        assert len(minors) == result.minor_faults

@@ -1,110 +1,78 @@
-"""Unit tests for the simulation event log."""
+"""Unit tests for the simulation event stream: the instants
+``Telemetry.on_event`` records on the tracer's ``events`` track (the
+CSV export is tested with the other exporters, in test_telemetry.py)."""
 
-import csv
-
-import pytest
+from collections import Counter
 
 from repro.baselines import SyncIOPolicy
 from repro.core import ITSPolicy
-from repro.sim.eventlog import EventLog, SimEvent
 from repro.sim.simulator import Simulation, WorkloadInstance
+from repro.telemetry import Telemetry
 
 from tests.conftest import make_linear_trace
 
 
-class TestEventLog:
-    def test_record_and_len(self):
-        log = EventLog()
-        log.record(10, "major_fault", pid=1, vpn=5)
-        assert len(log) == 1
-        assert list(log)[0] == SimEvent(10, "major_fault", 1, 5)
+def kinds(telemetry):
+    """Events per kind, read back from the ``events`` track."""
+    return Counter(e.name for e in telemetry.tracer.of_track("events"))
 
+
+class TestEventStream:
     def test_of_kind_and_pid(self):
-        log = EventLog()
-        log.record(1, "a", pid=1)
-        log.record(2, "b", pid=2)
-        log.record(3, "a", pid=2)
-        assert [e.time_ns for e in log.of_kind("a")] == [1, 3]
-        assert [e.time_ns for e in log.of_pid(2)] == [2, 3]
+        t = Telemetry()
+        t.on_event(1, "a", pid=1)
+        t.on_event(2, "b", pid=2)
+        t.on_event(3, "a", pid=2)
+        t.record_span("a", 0, 5, pid=2)  # a span, not an event
+        events = t.tracer.of_track("events")
+        assert [e.start_ns for e in events if e.name == "a"] == [1, 3]
+        assert [e.start_ns for e in events if e.pid == 2] == [2, 3]
 
     def test_counts(self):
-        log = EventLog()
+        # The counters see every event, even those the ring dropped.
+        t = Telemetry(span_capacity=2)
         for kind in ("a", "a", "b"):
-            log.record(0, kind)
-        assert log.counts() == {"a": 2, "b": 1}
+            t.on_event(0, kind)
+        assert t.registry.snapshot() == {"events.a": 2, "events.b": 1}
+        assert kinds(t) == {"a": 1, "b": 1}
 
     def test_capacity_drops_oldest(self):
-        log = EventLog(capacity=3)
-        for t in range(5):
-            log.record(t, "x")
-        assert len(log) == 3
-        assert log.dropped == 2
-        assert [e.time_ns for e in log] == [2, 3, 4]
-
-    def test_ring_wraps_many_times(self):
-        log = EventLog(capacity=4)
-        for t in range(25):
-            log.record(t, "x", pid=t % 3)
-        assert len(log) == 4
-        assert log.dropped == 21
-        assert [e.time_ns for e in log] == [21, 22, 23, 24]
-        # Filtered views follow the ring order too.
-        assert [e.time_ns for e in log.of_pid(0)] == [21, 24]
-        assert log.counts() == {"x": 4}
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            EventLog(capacity=0)
-
-    def test_csv_roundtrip(self, tmp_path):
-        log = EventLog()
-        log.record(5, "major_fault", pid=1, vpn=0x10)
-        log.record(9, "finish", pid=1)
-        path = tmp_path / "events.csv"
-        log.to_csv(path)
-        with path.open() as f:
-            comment = f.readline().strip()
-            rows = list(csv.reader(f))
-        assert comment == "# dropped=0"
-        assert rows[0] == ["time_ns", "kind", "pid", "vpn"]
-        assert rows[1] == ["5", "major_fault", "1", "16"]
-        assert rows[2] == ["9", "finish", "1", ""]
-
-    def test_csv_header_reports_drops(self, tmp_path):
-        log = EventLog(capacity=2)
-        for t in range(5):
-            log.record(t, "x")
-        path = tmp_path / "events.csv"
-        log.to_csv(path)
-        assert path.read_text().splitlines()[0] == "# dropped=3"
+        # Events share the tracer's ring with spans.
+        t = Telemetry(span_capacity=3)
+        t.record_span("s", 0, 1)
+        for time_ns in range(1, 5):
+            t.on_event(time_ns, "x")
+        assert t.tracer.dropped == 2
+        assert [e.start_ns for e in t.tracer.of_track("events")] == [2, 3, 4]
 
 
 class TestSimulationIntegration:
     def test_sync_run_logs_faults_and_finishes(self, small_config):
-        log = EventLog()
+        telemetry = Telemetry()
         workloads = [
             WorkloadInstance(name="w", trace=make_linear_trace(4), priority=10)
         ]
         result = Simulation(
-            small_config, workloads, SyncIOPolicy(), event_log=log
+            small_config, workloads, SyncIOPolicy(), telemetry=telemetry
         ).run()
-        counts = log.counts()
+        counts = kinds(telemetry)
         assert counts["major_fault"] == result.major_faults
+        assert counts["minor_fault"] == result.minor_faults
         assert counts["finish"] == 1
         assert counts["dispatch"] >= 1
 
     def test_its_run_logs_steals(self, small_config):
-        log = EventLog()
+        telemetry = Telemetry()
         workloads = [
             WorkloadInstance(name="w", trace=make_linear_trace(6), priority=10),
             WorkloadInstance(
                 name="v", trace=make_linear_trace(6, base_va=0x90_0000), priority=20
             ),
         ]
-        Simulation(small_config, workloads, ITSPolicy(), event_log=log).run()
-        counts = log.counts()
-        assert counts.get("steal", 0) > 0
-        assert counts.get("prefetch_issue", 0) > 0
+        Simulation(small_config, workloads, ITSPolicy(), telemetry=telemetry).run()
+        counts = kinds(telemetry)
+        assert counts["steal"] > 0
+        assert counts["prefetch_issue"] > 0
 
     def test_no_log_attached_is_fine(self, small_config):
         workloads = [
@@ -114,10 +82,12 @@ class TestSimulationIntegration:
         assert result.makespan_ns > 0
 
     def test_event_times_monotone(self, small_config):
-        log = EventLog()
+        telemetry = Telemetry()
         workloads = [
             WorkloadInstance(name="w", trace=make_linear_trace(4), priority=10)
         ]
-        Simulation(small_config, workloads, SyncIOPolicy(), event_log=log).run()
-        times = [e.time_ns for e in log]
+        Simulation(
+            small_config, workloads, SyncIOPolicy(), telemetry=telemetry
+        ).run()
+        times = [e.start_ns for e in telemetry.tracer.of_track("events")]
         assert times == sorted(times)

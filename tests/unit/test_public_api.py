@@ -26,7 +26,7 @@ class TestTopLevelAll:
             "AsyncIOPolicy",
             "SyncRunaheadPolicy",
             "SyncPrefetchPolicy",
-            "EventLog",
+            "Telemetry",
             "DeterministicRNG",
         ):
             assert name in repro.__all__, name

@@ -151,12 +151,12 @@ class TestRunCells:
 
         cache = ResultCache(tmp_path)
         cells = [fast_cell(), fast_cell(policy="Async")]
-        t1 = Telemetry(events=False)
+        t1 = Telemetry()
         run_cells(cells, cache=cache, telemetry=t1)
         assert t1.counter("runner.cache.miss").value == 2
         assert t1.counter("runner.cells.executed").value == 2
         assert t1.histogram("runner.cell_wall_ns").count == 2
-        t2 = Telemetry(events=False)
+        t2 = Telemetry()
         run_cells(cells, cache=cache, telemetry=t2)
         assert t2.counter("runner.cache.hit").value == 2
         assert t2.counter("runner.cache.miss").value == 0
@@ -270,7 +270,7 @@ class TestExecutorSelection:
         cells = [fast_cell(), fast_cell(policy="Async")]
         cache = ResultCache(tmp_path)
         run_cells(cells, cache=cache, executor="queue")
-        telemetry = Telemetry(events=False)
+        telemetry = Telemetry()
         run_cells(cells, cache=cache, executor="queue", telemetry=telemetry)
         assert telemetry.counter("runner.cache.hit").value == 2
         assert telemetry.counter("runner.cells.executed").value == 0

@@ -260,7 +260,7 @@ class TestPublishTelemetry:
         sched.add(make_process(1))
         sched.dispatch()
         sched.preempt_current()
-        registry = Telemetry(events=False).registry
+        registry = Telemetry().registry
         sched.publish_telemetry(registry)
         assert registry.gauge("sched.dispatches").value == 1
         assert registry.gauge("sched.preemptions").value == 1
@@ -272,7 +272,7 @@ class TestPublishTelemetry:
         from repro.common.config import SchedulerConfig
         from repro.telemetry import Telemetry
 
-        registry = Telemetry(events=False).registry
+        registry = Telemetry().registry
         sched.add(make_process(1))
         sched.dispatch()
         sched.publish_telemetry(registry)
@@ -291,6 +291,6 @@ class TestPublishTelemetry:
     def test_prefix_scopes_names(self, sched):
         from repro.telemetry import Telemetry
 
-        registry = Telemetry(events=False).registry
+        registry = Telemetry().registry
         sched.publish_telemetry(registry, prefix="sched.core0.")
         assert registry.gauge("sched.core0.dispatches").value == 0

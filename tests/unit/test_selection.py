@@ -71,7 +71,7 @@ class TestTelemetryExport:
         sched.add(high)
         sched.add(low)
         sched.dispatch()
-        telemetry = Telemetry(events=False)
+        telemetry = Telemetry()
         policy = PrioritySelectionPolicy()
         policy.classify(high, sched, telemetry=telemetry)  # HIGH: outranks waiter
         policy.classify(low, sched, telemetry=telemetry)  # HIGH: tie with itself
@@ -85,7 +85,7 @@ class TestTelemetryExport:
         sched.add(current)
         sched.add(waiter)
         sched.dispatch()
-        telemetry = Telemetry(events=False)
+        telemetry = Telemetry()
         policy = PrioritySelectionPolicy()
         policy.classify(current, sched, telemetry=telemetry)  # LOW: waiter outranks
         policy.hint = lambda p: PriorityClass.HIGH

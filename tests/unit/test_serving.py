@@ -218,14 +218,6 @@ class TestAdmission:
         view = AdmissionView(now_ns=0, in_system=10_000)
         assert policy.decide(_request(), view) is Decision.ADMIT
 
-    def test_observers_see_every_decision(self):
-        policy = DropWhenFull(queue_cap=1)
-        seen = []
-        policy.subscribe(lambda req, view, decision: seen.append((req.rid, decision)))
-        policy.decide(_request(rid=0), AdmissionView(now_ns=0, in_system=0))
-        policy.decide(_request(rid=1), AdmissionView(now_ns=5, in_system=1))
-        assert seen == [(0, Decision.ADMIT), (1, Decision.DROP)]
-
 
 class TestRequestLifecycle:
     def test_latency_splits_into_wait_and_service(self):

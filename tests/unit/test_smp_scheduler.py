@@ -220,7 +220,7 @@ class TestReporting:
             sched.add(make_process(pid))
         sched.dispatch()
         sched.try_steal(1)  # no victim: attempts only
-        registry = Telemetry(events=False).registry
+        registry = Telemetry().registry
         sched.publish_telemetry(registry)
         assert registry.gauge("sched.core0.dispatches").value == 1
         assert registry.gauge("sched.core1.dispatches").value == 0

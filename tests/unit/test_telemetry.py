@@ -3,14 +3,17 @@
 Covers the registry instruments (histogram bucketing and percentile
 estimation in particular), the span tracer (post-hoc records, context
 managers on a fake clock, ring-buffer bounds), the ``Telemetry`` handle,
-and the exporters (Chrome trace schema round-trip, JSONL, text report).
+and the exporters (Chrome trace schema round-trip, JSONL, event CSV,
+text report, output-path errors).
 """
 
+import csv
 import json
+import re
 
 import pytest
 
-from repro.common.errors import SimulationError
+from repro.common.errors import ReproError, SimulationError
 from repro.telemetry import (
     DEFAULT_COUNT_BOUNDS,
     DEFAULT_LATENCY_BOUNDS_NS,
@@ -23,6 +26,7 @@ from repro.telemetry import (
     Telemetry,
     chrome_trace_dict,
     export_chrome_trace,
+    export_events_csv,
     export_jsonl,
     render_stats_report,
 )
@@ -192,12 +196,19 @@ class TestSpanTracer:
         assert t.durations_ns("mark") == []
 
     def test_ring_drops_oldest(self):
-        t = SpanTracer(capacity=3)
-        for i in range(5):
-            t.record("s", i * 10, i * 10 + 1)
-        assert len(t) == 3
-        assert t.dropped == 2
-        assert [s.start_ns for s in t] == [20, 30, 40]
+        # One partial wrap, then many: iteration and the filtered views
+        # follow ring order either way.
+        for capacity, count in ((3, 5), (4, 25)):
+            t = SpanTracer(capacity=capacity)
+            for i in range(count):
+                t.record("s", i * 10, i * 10 + 1, track=f"t{i % 3}")
+            kept = range(count - capacity, count)
+            assert len(t) == capacity
+            assert t.dropped == count - capacity
+            assert [s.start_ns for s in t] == [i * 10 for i in kept]
+            assert [s.start_ns for s in t.of_track("t0")] == [
+                i * 10 for i in kept if i % 3 == 0
+            ]
 
     def test_context_manager_needs_clock(self):
         t = SpanTracer()
@@ -240,14 +251,12 @@ class TestSpanTracer:
 class TestTelemetryHandle:
     def test_defaults(self):
         t = Telemetry()
-        assert t.event_log is not None
+        assert t.causal is None
+        assert t.tracer.capacity == 1_000_000
         assert len(t.registry) == 0 and len(t.tracer) == 0
 
-    def test_events_false_drops_log(self):
-        assert Telemetry(events=False).event_log is None
-
     def test_shortcuts_hit_registry_and_tracer(self):
-        t = Telemetry(events=False)
+        t = Telemetry()
         t.counter("c").inc()
         t.gauge("g").set(2)
         t.histogram("h").observe(150)
@@ -257,7 +266,7 @@ class TestTelemetryHandle:
         assert len(t.tracer) == 2
 
     def test_on_event_mirrors_into_registry_and_tracer(self):
-        t = Telemetry(events=False)
+        t = Telemetry()
         t.on_event(100, "major_fault", pid=2, vpn=9)
         t.on_event(200, "major_fault", pid=3)
         assert t.registry.snapshot()["events.major_fault"] == 2
@@ -267,7 +276,7 @@ class TestTelemetryHandle:
 
     def test_span_context_manager_via_bound_clock(self):
         now = [7]
-        t = Telemetry(events=False)
+        t = Telemetry()
         t.bind_clock(lambda: now[0])
         with t.span("work", track="its"):
             now[0] = 19
@@ -276,13 +285,16 @@ class TestTelemetryHandle:
 
 
 def _sample_telemetry() -> Telemetry:
-    t = Telemetry(events=False)
+    t = Telemetry()
     t.record_span("fault.sync", 1_000, 4_000, track="cpu", pid=1, args={"vpn": 3})
     t.record_span("dma.demand_read", 1_500, 3_900, track="dma")
     t.instant("major_fault", 1_000, track="events", pid=1)
     t.counter("fault.major").inc()
     t.histogram("fault.service_ns").observe(3_000)
     return t
+
+
+FILE_EXPORTERS = [export_chrome_trace, export_jsonl, export_events_csv]
 
 
 class TestExporters:
@@ -327,6 +339,46 @@ class TestExporters:
         assert "unit" in text
         assert "fault.sync" in text
         assert "fault.major" in text
+
+    def test_events_csv_roundtrip(self, tmp_path):
+        t = Telemetry()
+        t.on_event(5, "major_fault", pid=1, vpn=0x10)
+        t.record_span("fault.sync", 5, 9, pid=1)  # spans are not rows
+        t.on_event(9, "finish", pid=1)
+        t.on_event(9, "steal")
+        path = export_events_csv(t, tmp_path / "events.csv")
+        with path.open(newline="") as f:
+            comment = f.readline().strip()
+            rows = list(csv.reader(f))
+        assert comment == "# dropped=0"
+        assert rows == [
+            ["time_ns", "kind", "pid", "vpn"],
+            ["5", "major_fault", "1", "16"],
+            ["9", "finish", "1", ""],
+            ["9", "steal", "", ""],
+        ]
+
+    def test_events_csv_header_reports_drops(self, tmp_path):
+        t = Telemetry(span_capacity=2)
+        for time_ns in range(5):
+            t.on_event(time_ns, "x")
+        path = export_events_csv(t, tmp_path / "events.csv")
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# dropped=3"
+        assert len(lines) == 2 + 2  # comment, header, the two survivors
+
+    @pytest.mark.parametrize("export", FILE_EXPORTERS)
+    def test_file_exporters_create_missing_dirs(self, tmp_path, export):
+        path = export(_sample_telemetry(), tmp_path / "new" / "deeper" / "out")
+        assert path.is_file() and path.stat().st_size > 0
+
+    @pytest.mark.parametrize("export", FILE_EXPORTERS)
+    def test_file_exporters_name_an_unwritable_path(self, tmp_path, export):
+        blocker = tmp_path / "regular-file"
+        blocker.write_text("")
+        target = blocker / "out"
+        with pytest.raises(ReproError, match=re.escape(str(target))):
+            export(_sample_telemetry(), target)
 
 
 class TestPublicSurface:

@@ -21,6 +21,7 @@ from repro.common.events import EventQueue
 from repro.common.units import US
 from repro.storage.device import ULLDevice
 from repro.storage.dma import DMARequest
+from repro.telemetry import Telemetry
 from repro.tiering import (
     MigrationEngine,
     TIER_PRESETS,
@@ -391,6 +392,20 @@ class TestMigration:
         assert dma.tier_of(3, 0) == 1  # cold page pushed back down
         assert dma.tier_of(3, 1) == 0  # hot page kept
         assert dma.tier_of(3, 2) == 0
+
+    def test_causal_graph_records_each_migration(self):
+        memory, plc, registry, dma = self.build(threshold=1, fast_slots=2)
+        telemetry = Telemetry(causal=True)
+        registry.migration.telemetry = telemetry
+        memory.register_process(3, range(4))
+        self.fault(dma, 3, 0)
+        self.fault(dma, 3, 1, times=3)
+        self.fault(dma, 3, 2)  # the fast tier is full: demote vpn 0 first
+        nodes = telemetry.causal.of_kind("tier_migrate")
+        assert [(n.vpn, n.args["direction"]) for n in nodes] == [
+            (0, "promote"), (1, "promote"), (0, "demote"), (2, "promote")
+        ]
+        assert nodes[2].args["src"] == "fast" and nodes[2].args["dst"] == "slow"
 
     def test_disabled_threshold_never_migrates(self):
         memory, plc, registry, dma = self.build(threshold=0)

@@ -9,11 +9,11 @@ from repro.analysis.timeline import (
     render_timeline,
 )
 from repro.common.errors import SimulationError
-from repro.sim.eventlog import EventLog, SimEvent
+from repro.telemetry import Span, Telemetry
 
 
 def events_at(*times):
-    return [SimEvent(time_ns=t, kind="x") for t in times]
+    return [Span("x", t, None, "events") for t in times]
 
 
 class TestBucketing:
@@ -62,11 +62,12 @@ class TestStrips:
 
 class TestTimeline:
     def _log(self):
-        log = EventLog()
-        log.record(10, "steal", pid=0)
-        log.record(20, "sacrifice", pid=1)
-        log.record(90, "steal", pid=0)
-        return log
+        telemetry = Telemetry()
+        telemetry.on_event(10, "steal", pid=0)
+        telemetry.on_event(20, "sacrifice", pid=1)
+        telemetry.record_span("steal", 30, 60)  # a span, not an event
+        telemetry.on_event(90, "steal", pid=0)
+        return telemetry
 
     def test_one_row_per_kind(self):
         text = render_timeline(self._log(), makespan_ns=100, buckets=10)
@@ -80,6 +81,10 @@ class TestTimeline:
             self._log(), makespan_ns=100, kinds=("sacrifice",), buckets=10
         )
         assert "steal" not in text
+
+    def test_rows_read_only_event_instants(self):
+        text = render_timeline(self._log(), makespan_ns=100, buckets=10)
+        assert text.splitlines()[0] == "steal     | *       *|"
 
     def test_strips_aligned(self):
         text = render_timeline(self._log(), makespan_ns=100, buckets=10)
