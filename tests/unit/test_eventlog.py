@@ -45,6 +45,18 @@ class TestEventStream:
         assert t.tracer.dropped == 2
         assert [e.start_ns for e in t.tracer.of_track("events")] == [2, 3, 4]
 
+    def test_ring_wraps_many_times(self):
+        t = Telemetry(span_capacity=4)
+        for time_ns in range(25):
+            t.on_event(time_ns, "x", pid=time_ns % 3)
+        events = t.tracer.of_track("events")
+        assert t.tracer.dropped == 21
+        assert [e.start_ns for e in events] == [21, 22, 23, 24]
+        # Filtered views follow the ring order too.
+        assert [e.start_ns for e in events if e.pid == 0] == [21, 24]
+        assert kinds(t) == {"x": 4}
+        assert t.registry.snapshot() == {"events.x": 25}
+
 
 class TestSimulationIntegration:
     def test_sync_run_logs_faults_and_finishes(self, small_config):
